@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -342,6 +343,100 @@ func TestCrashAtEveryKillPoint(t *testing.T) {
 				if !reflect.DeepEqual(got, prev) {
 					t.Fatalf("crash at %q damaged the previous snapshot", op)
 				}
+			}
+		})
+	}
+}
+
+// TestSaveErrorsCounted: a failed save is never silent. Save returns the
+// injected crash, SaveAsync hands it to its report func and to Wait, and
+// either way checkpoint_save_errors_total reads 1 — the one trace a
+// logger-less caller (a studysvc tenant) keeps of a failed day boundary.
+func TestSaveErrorsCounted(t *testing.T) {
+	snap := snapshotAfter(t, 1)
+	newManager := func(t *testing.T) (*Manager, *telemetry.Registry) {
+		reg := telemetry.New()
+		m, err := NewManager(Options{
+			Dir:       t.TempDir(),
+			Telemetry: reg,
+			Disk:      faults.NewDiskPlan(3, 1.0, "fsync"),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m, reg
+	}
+	errorsTotal := func(reg *telemetry.Registry) int64 {
+		return reg.Counter("checkpoint_save_errors_total").Value()
+	}
+
+	t.Run("Save", func(t *testing.T) {
+		m, reg := newManager(t)
+		if err := m.Save(snap); !errors.Is(err, faults.ErrInjectedCrash) {
+			t.Fatalf("got %v, want ErrInjectedCrash", err)
+		}
+		if v := errorsTotal(reg); v != 1 {
+			t.Fatalf("save_errors_total = %d, want 1", v)
+		}
+	})
+	for _, procs := range []int{1, 2} {
+		t.Run(fmt.Sprintf("SaveAsync/GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			m, reg := newManager(t)
+			var reported error
+			m.SaveAsync(snap, func(err error) { reported = err })
+			// Inline (GOMAXPROCS 1), nothing is left in flight to wait on.
+			if err := m.Wait(); procs > 1 && !errors.Is(err, faults.ErrInjectedCrash) {
+				t.Fatalf("Wait: got %v, want ErrInjectedCrash", err)
+			}
+			if !errors.Is(reported, faults.ErrInjectedCrash) {
+				t.Fatalf("report: got %v, want ErrInjectedCrash", reported)
+			}
+			if v := errorsTotal(reg); v != 1 {
+				t.Fatalf("save_errors_total = %d, want 1", v)
+			}
+		})
+	}
+}
+
+// TestSaveAsyncOrdering: saves land in call order whichever path runs
+// them. At GOMAXPROCS 1 SaveAsync is inline, so its file exists on return;
+// otherwise a following Save waits for the in-flight write, so the forced
+// snapshot is the newest and rotation has seen both.
+func TestSaveAsyncOrdering(t *testing.T) {
+	a, b, c := snapshotAfter(t, 1), snapshotAfter(t, 2), snapshotAfter(t, 3)
+	for _, procs := range []int{1, 2} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			m, err := NewManager(Options{Dir: t.TempDir(), Keep: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.SaveAsync(a, nil)
+			if procs == 1 {
+				if _, err := os.Stat(filepath.Join(m.Dir(), fileFor(int(a.NextDay)))); err != nil {
+					t.Fatalf("inline SaveAsync returned before its file landed: %v", err)
+				}
+			}
+			if err := m.Save(b); err != nil {
+				t.Fatal(err)
+			}
+			if days := m.list(); !reflect.DeepEqual(days, []int{int(b.NextDay)}) {
+				t.Fatalf("after Save have days %v, want [%d]", days, b.NextDay)
+			}
+			m.SaveAsync(c, nil)
+			if err := m.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Wait(); err != nil {
+				t.Fatalf("second Wait with nothing in flight: %v", err)
+			}
+			got, err := m.Load()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, c) {
+				t.Fatal("Load after Wait did not return the last SaveAsync snapshot")
 			}
 		})
 	}

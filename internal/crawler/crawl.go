@@ -50,7 +50,6 @@ type Crawler struct {
 	// Telemetry handles (nil until Instrument; nil handles are no-ops).
 	cDetector *telemetry.Counter
 	cCacheHit *telemetry.Counter
-	cShared   *telemetry.Counter
 	poolObs   parallel.PoolObserver
 }
 
@@ -59,16 +58,14 @@ func (c *Crawler) shard(domain string) *crawlShard {
 }
 
 // Instrument registers the crawler's runtime metrics on reg (nil reg is a
-// no-op): crawler_detector_runs_total, crawler_cache_hits_total,
-// crawler_inflight_shared_total, and the pool_crawl_* family describing
-// the domain-check worker pool.
+// no-op): crawler_detector_runs_total, crawler_cache_hits_total, and the
+// pool_crawl_* family describing the domain-check worker pool.
 func (c *Crawler) Instrument(reg *telemetry.Registry) {
 	if reg == nil {
 		return
 	}
 	c.cDetector = reg.Counter("crawler_detector_runs_total")
 	c.cCacheHit = reg.Counter("crawler_cache_hits_total")
-	c.cShared = reg.Counter("crawler_inflight_shared_total")
 	c.poolObs = reg.Pool("crawl")
 }
 
@@ -114,9 +111,11 @@ func (c *Crawler) CheckDomain(domain, sampleURL string, day simclock.Day) Verdic
 		// removes the inflight entry), so the (v, seen) snapshot taken
 		// above is exactly the snapshot the runner started from — applying
 		// the same merge rule to the runner's verdict yields the same
-		// result the runner returns, with no re-consult loop.
+		// result the runner returns, with no re-consult loop. It counts as
+		// a cache hit: this caller runs no detector, and whether it finds
+		// the verdict cached or still in flight is down to scheduling.
 		sh.mu.Unlock()
-		c.cShared.Inc()
+		c.cCacheHit.Inc()
 		<-call.done
 		return mergeVerdict(v, seen, call.v, day)
 	}

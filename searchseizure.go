@@ -142,6 +142,12 @@ func WithLogger(l *log.Logger) Option {
 // favour of the previous one. The snapshot is bound to the simulation-
 // shaping config (a hash mismatch surfaces as an error from RunContext);
 // telemetry and worker counts may differ across resume.
+//
+// The state is exported at the day boundary. When GOMAXPROCS > 1 its
+// encode, write and fsync then run in the background while the next day
+// runs, one save in flight at most; at GOMAXPROCS 1 they run inline.
+// RunContext returns only once the last save is on disk, and Checkpoint
+// waits for an in-flight save before writing its own.
 func WithCheckpoint(dir string, every int) Option {
 	return func(o *studyOptions) error {
 		if dir == "" {
@@ -246,6 +252,11 @@ func (s *Study) RunContext(ctx context.Context) (*core.Dataset, error) {
 		s.log.Printf("searchseizure: run starting (%d days)", s.World.Sim.Days())
 	}
 	data, err := s.World.RunContext(ctx)
+	if s.ckpt != nil {
+		// The last day's save may still be in flight; return only once it
+		// is on disk. Its error, if any, went to the save hook's log line.
+		s.ckpt.Wait()
+	}
 	if err != nil {
 		if s.log != nil {
 			s.log.Printf("searchseizure: run cancelled after %d/%d days: %v",
@@ -304,9 +315,13 @@ func (s *Study) attachCheckpoints() error {
 		if !mgr.Due(int(d)) && int(d)+1 != w.Sim.Days() {
 			return
 		}
-		if serr := mgr.Save(w.Snapshot()); serr != nil && s.log != nil {
-			s.log.Printf("searchseizure: checkpoint save after day %d failed: %v", d, serr)
-		}
+		// Export here, at the quiescent point; the encode, write and fsync
+		// overlap the next day (see checkpoint.Manager.SaveAsync).
+		mgr.SaveAsync(w.Snapshot(), func(serr error) {
+			if s.log != nil {
+				s.log.Printf("searchseizure: checkpoint save after day %d failed: %v", d, serr)
+			}
+		})
 	}
 	return nil
 }
