@@ -8,6 +8,7 @@
 package classify
 
 import (
+	"encoding/binary"
 	"math"
 	"sort"
 
@@ -32,13 +33,11 @@ type Options struct {
 	// LearningRate and Epochs drive the proximal gradient loop.
 	LearningRate float64
 	Epochs       int
-	// Workers bounds the per-class training parallelism (0 = serial).
-	Workers int
 	// EpochCounter, when non-nil, accumulates gradient epochs actually run
-	// (one bump of Epochs per binary subproblem). Telemetry only: training
-	// never reads it.
+	// (Epochs per binary subproblem). Telemetry only: training never reads
+	// it.
 	EpochCounter *telemetry.Counter
-	// Pool, when non-nil, receives the per-class fan-out's accounting.
+	// Pool, when non-nil, receives the class-block fan-out's accounting.
 	Pool parallel.PoolObserver
 }
 
@@ -66,7 +65,7 @@ func (r Regularizer) String() string {
 
 // DefaultOptions returns the study configuration.
 func DefaultOptions() Options {
-	return Options{Lambda: 0.004, Reg: L1, LearningRate: 0.6, Epochs: 60, Workers: 8}
+	return Options{Lambda: 0.004, Reg: L1, LearningRate: 0.6, Epochs: 60}
 }
 
 // Vocab maps feature strings to dense indices.
@@ -120,7 +119,18 @@ type Model struct {
 	bias    []float64
 }
 
-// Train fits the model on labeled docs.
+// Train fits the model on labeled docs: one binary subproblem per class
+// (one-vs-rest), each fitted with full-batch proximal gradient descent
+// (ISTA for L1), positives up-weighted to balance the heavy negative skew
+// each subproblem has with 52 classes.
+//
+// The classes are split into min(GOMAXPROCS, classes) contiguous blocks
+// that train concurrently on the parallel pool (with one CPU, one inline
+// block holds every class). A block makes one pass over the docs per epoch
+// for all of its classes, and feature columns that occur in exactly the
+// same docs share one weight and gradient slot. Neither changes any class's
+// own sequence of float operations, so the weights are bit-identical to
+// fitting each class alone, at every GOMAXPROCS.
 func Train(docs []Doc, opts Options) *Model {
 	classSet := make(map[string]struct{})
 	for _, d := range docs {
@@ -134,107 +144,181 @@ func Train(docs []Doc, opts Options) *Model {
 
 	vocab := BuildVocab(docs)
 	X := make([][]int, len(docs))
+	label := make([]int, len(docs))
 	for i, d := range docs {
 		X[i] = vocab.vector(d.Features)
+		label[i] = sort.SearchStrings(classes, d.Label)
 	}
-	m := &Model{
-		Classes: classes,
-		Vocab:   vocab,
-		weights: make([][]float64, len(classes)),
-		bias:    make([]float64, len(classes)),
+	ds := newDesign(X, vocab.Size())
+	blocks := min(parallel.Workers(0), len(classes))
+	type fit struct {
+		weights [][]float64
+		bias    []float64
 	}
-	// One-vs-rest subproblems are independent; each writes only its own
-	// class slot, so the fan-out is deterministic at any worker count.
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	parallel.ForEachObserved(workers, len(classes), func(ci int) {
-		class := classes[ci]
-		y := make([]float64, len(docs))
-		for i, d := range docs {
-			if d.Label == class {
-				y[i] = 1
-			}
-		}
-		w, b := trainBinary(X, y, vocab.Size(), opts)
-		m.weights[ci] = w
-		m.bias[ci] = b
+	fits := make([]fit, blocks)
+	parallel.ForEachObserved(blocks, blocks, func(bi int) {
+		lo, hi := bi*len(classes)/blocks, (bi+1)*len(classes)/blocks
+		w, b := ds.trainBlock(label, lo, hi, opts)
+		fits[bi] = fit{w, b}
+		opts.EpochCounter.Add(int64(opts.Epochs) * int64(hi-lo))
 	}, opts.Pool)
+	m := &Model{Classes: classes, Vocab: vocab}
+	for _, f := range fits {
+		m.weights = append(m.weights, f.weights...)
+		m.bias = append(m.bias, f.bias...)
+	}
 	return m
 }
 
-// trainBinary fits one binary logistic regression with full-batch proximal
-// gradient descent (ISTA for L1). Positive examples are up-weighted to
-// balance the heavy negative skew each one-vs-rest subproblem has with 52
-// classes.
-func trainBinary(X [][]int, y []float64, dim int, opts Options) ([]float64, float64) {
-	w := make([]float64, dim)
-	var b float64
-	n := float64(len(X))
-	if n == 0 {
-		return w, b
-	}
-	var npos float64
-	for _, v := range y {
-		npos += v
-	}
-	posWeight := 1.0
-	if npos > 0 {
-		posWeight = (n - npos) / npos
-		if posWeight > 60 {
-			posWeight = 60
-		}
-		if posWeight < 1 {
-			posWeight = 1
+// design is the training matrix with its columns collapsed into groups.
+// Columns that occur in exactly the same docs receive the same gradient
+// terms in the same doc order, so their weights stay bit-identical and one
+// slot serves them all.
+type design struct {
+	// group maps each vocabulary column to its group; ids ascend with each
+	// group's first column.
+	group  []int32
+	groups int
+	// feat[i] lists the group of each of doc i's features in ascending
+	// column order (the dot product's term order); uniq[i] lists doc i's
+	// distinct groups once each (the gradient scatter).
+	feat, uniq [][]int32
+}
+
+func newDesign(X [][]int, dim int) *design {
+	// A column's signature is its ascending doc-index list.
+	sigs := make([][]byte, dim)
+	for i, xi := range X {
+		for _, j := range xi {
+			sigs[j] = binary.AppendUvarint(sigs[j], uint64(i))
 		}
 	}
-	grad := make([]float64, dim)
+	ds := &design{
+		group: make([]int32, dim),
+		feat:  make([][]int32, len(X)),
+		uniq:  make([][]int32, len(X)),
+	}
+	// leads marks each group's first column: a doc holds a group exactly
+	// when it holds that column.
+	leads := make([]bool, dim)
+	ids := make(map[string]int32, dim)
+	for j, sig := range sigs {
+		id, ok := ids[string(sig)]
+		if !ok {
+			id = int32(len(ids))
+			ids[string(sig)] = id
+			leads[j] = true
+		}
+		ds.group[j] = id
+	}
+	ds.groups = len(ids)
+	for i, xi := range X {
+		feat := make([]int32, len(xi))
+		var uniq []int32
+		for k, j := range xi {
+			feat[k] = ds.group[j]
+			if leads[j] {
+				uniq = append(uniq, ds.group[j])
+			}
+		}
+		ds.feat[i], ds.uniq[i] = feat, uniq
+	}
+	return ds
+}
+
+// trainBlock fits classes [lo, hi) against the docs' class indices and
+// returns each one's dense weights and its bias. While training, the
+// weights are laid out [group][class-lo].
+func (ds *design) trainBlock(label []int, lo, hi int, opts Options) ([][]float64, []float64) {
+	width := hi - lo
+	w := make([]float64, ds.groups*width)
+	b := make([]float64, width)
+	n := float64(len(label))
+	posWeight := make([]float64, width)
+	for _, l := range label {
+		if l >= lo && l < hi {
+			posWeight[l-lo]++
+		}
+	}
+	for c, npos := range posWeight {
+		pw := 1.0
+		if npos > 0 {
+			pw = (n - npos) / npos
+			if pw > 60 {
+				pw = 60
+			}
+			if pw < 1 {
+				pw = 1
+			}
+		}
+		posWeight[c] = pw
+	}
+	grad := make([]float64, len(w))
+	gradB := make([]float64, width)
+	// z holds each class's logit for the current doc, then its gradient
+	// term g.
+	z := make([]float64, width)
 	for epoch := 0; epoch < opts.Epochs; epoch++ {
-		for i := range grad {
-			grad[i] = 0
-		}
-		var gradB float64
-		for i, xi := range X {
-			z := b
-			for _, j := range xi {
-				z += w[j]
+		clear(grad)
+		clear(gradB)
+		for i, feat := range ds.feat {
+			copy(z, b)
+			for _, g := range feat {
+				row := w[int(g)*width:][:len(z)]
+				for c := range z {
+					z[c] += row[c]
+				}
 			}
-			p := sigmoid(z)
-			g := p - y[i]
-			if y[i] > 0 {
-				g *= posWeight
+			// g = p - y, with y = 0 for every class but the doc's own.
+			for c := range z {
+				z[c] = sigmoid(z[c])
 			}
-			for _, j := range xi {
-				grad[j] += g
+			if c := label[i] - lo; c >= 0 && c < width {
+				z[c] = (z[c] - 1) * posWeight[c]
 			}
-			gradB += g
+			for c := range z {
+				gradB[c] += z[c]
+			}
+			for _, g := range ds.uniq[i] {
+				row := grad[int(g)*width:][:len(z)]
+				for c := range z {
+					row[c] += z[c]
+				}
+			}
 		}
 		lr := opts.LearningRate / (1 + 0.03*float64(epoch))
-		for j := range w {
-			if grad[j] != 0 {
-				w[j] -= lr * grad[j] / n
+		for k := range w {
+			if grad[k] != 0 {
+				w[k] -= lr * grad[k] / n
 			}
 			switch opts.Reg {
 			case L1:
 				// Soft threshold (proximal step for the L1 penalty).
 				t := lr * opts.Lambda
 				switch {
-				case w[j] > t:
-					w[j] -= t
-				case w[j] < -t:
-					w[j] += t
+				case w[k] > t:
+					w[k] -= t
+				case w[k] < -t:
+					w[k] += t
 				default:
-					w[j] = 0
+					w[k] = 0
 				}
 			case L2:
-				w[j] *= 1 - lr*opts.Lambda
+				w[k] *= 1 - lr*opts.Lambda
 			}
 		}
-		b -= lr * gradB / n
+		for c := range b {
+			b[c] -= lr * gradB[c] / n
+		}
 	}
-	opts.EpochCounter.Add(int64(opts.Epochs))
-	return w, b
+	dense := make([][]float64, width)
+	for c := range dense {
+		dense[c] = make([]float64, len(ds.group))
+		for j, g := range ds.group {
+			dense[c][j] = w[int(g)*width+c]
+		}
+	}
+	return dense, b
 }
 
 func sigmoid(z float64) float64 {

@@ -1,6 +1,10 @@
 package classify
 
 import (
+	"fmt"
+	"math"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -130,16 +134,127 @@ func TestVocabDeterministic(t *testing.T) {
 	}
 }
 
+// TestTrainDeterministicAcrossWorkerCounts checks the class-blocked trainer
+// against referenceTrain bit for bit, at every block count GOMAXPROCS 1, 2
+// and 8 produce, for each penalty, on full corpora and every 10-fold
+// training set.
 func TestTrainDeterministicAcrossWorkerCounts(t *testing.T) {
-	docs := corpus(t, 0.02)
-	o1 := quickOpts()
-	o1.Workers = 1
-	o8 := quickOpts()
-	o8.Workers = 8
-	m1, m8 := Train(docs, o1), Train(docs, o8)
-	for _, d := range docs[:20] {
-		if m1.Predict(d.Features).Label != m8.Predict(d.Features).Label {
-			t.Fatal("prediction depends on worker count")
+	type set struct {
+		name string
+		docs []Doc
+	}
+	sets := []set{{"hand", handCorpus()}}
+	for _, c := range []struct {
+		name  string
+		scale float64
+	}{{"scale0.02", 0.02}, {"scale0.22", 0.22}} {
+		docs := corpus(t, c.scale)
+		sets = append(sets, set{c.name, docs})
+		for fold := 0; fold < 10; fold++ {
+			var train []Doc
+			for i, d := range docs {
+				if i%10 != fold {
+					train = append(train, d)
+				}
+			}
+			sets = append(sets, set{fmt.Sprintf("%s/fold%d", c.name, fold), train})
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	// An infinite step turns a zero gradient's update into NaN, so the hand
+	// corpus also pins the kernel's grad != 0 guard, which no finite step
+	// can observe.
+	infStep := quickOpts()
+	infStep.LearningRate, infStep.Epochs = math.Inf(1), 1
+	for _, set := range sets {
+		opts := []Options{quickOpts()}
+		if set.name == "hand" {
+			opts = append(opts, infStep)
+		}
+		for _, o := range opts {
+			for _, reg := range []Regularizer{L1, L2, NoReg} {
+				o.Reg = reg
+				want := referenceTrain(set.docs, o)
+				for _, procs := range []int{1, 2, 8} {
+					runtime.GOMAXPROCS(procs)
+					got := Train(set.docs, o)
+					if msg := diffModels(got, want); msg != "" {
+						t.Fatalf("%s, %s, step %v, GOMAXPROCS %d: %s", set.name, reg, o.LearningRate, procs, msg)
+					}
+				}
+			}
+		}
+	}
+}
+
+// handCorpus has no two columns with the same doc set, a class with a
+// single doc ("z"), a doc with no features and a repeated feature. Class x
+// holds half the docs, so its positive weight is 1 and column g, in one x
+// doc and one y doc, has an exactly zero first-epoch gradient for x.
+func handCorpus() []Doc {
+	return []Doc{
+		{Features: []string{"a", "b"}, Label: "x"},
+		{Features: []string{"b", "c", "b"}, Label: "x"},
+		{Features: []string{"a", "c", "d"}, Label: "y"},
+		{Features: nil, Label: "y"},
+		{Features: []string{"e", "d", "a"}, Label: "z"},
+		{Features: []string{"c", "f"}, Label: "x"},
+		{Features: []string{"g"}, Label: "x"},
+		{Features: []string{"g", "h"}, Label: "y"},
+	}
+}
+
+// diffModels describes the first bit-level difference between two models,
+// or returns "" when they are identical.
+func diffModels(got, want *Model) string {
+	if !slices.Equal(got.Classes, want.Classes) {
+		return fmt.Sprintf("classes %v, want %v", got.Classes, want.Classes)
+	}
+	for ci, class := range want.Classes {
+		if a, b := math.Float64bits(got.bias[ci]), math.Float64bits(want.bias[ci]); a != b {
+			return fmt.Sprintf("class %s bias %#x, want %#x", class, a, b)
+		}
+		if len(got.weights[ci]) != len(want.weights[ci]) {
+			return fmt.Sprintf("class %s has %d weights, want %d", class, len(got.weights[ci]), len(want.weights[ci]))
+		}
+		for j, w := range want.weights[ci] {
+			if a, b := math.Float64bits(got.weights[ci][j]), math.Float64bits(w); a != b {
+				return fmt.Sprintf("class %s weight %d (%s) %#x, want %#x", class, j, want.Vocab.Term(j), a, b)
+			}
+		}
+	}
+	return ""
+}
+
+// TestDesignCollapsesDuplicateColumns pins the column grouping the
+// reference test relies on: real corpora collapse heavily, the hand corpus
+// not at all, and every doc's group lists mirror its features.
+func TestDesignCollapsesDuplicateColumns(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		docs      []Doc
+		collapses bool
+	}{{"hand", handCorpus(), false}, {"scale0.02", corpus(t, 0.02), true}} {
+		vocab := BuildVocab(c.docs)
+		X := make([][]int, len(c.docs))
+		for i, d := range c.docs {
+			X[i] = vocab.vector(d.Features)
+		}
+		ds := newDesign(X, vocab.Size())
+		if got := ds.groups < vocab.Size(); got != c.collapses {
+			t.Fatalf("%s: %d groups for %d columns", c.name, ds.groups, vocab.Size())
+		}
+		for i, xi := range X {
+			seen := map[int32]bool{}
+			for k, j := range xi {
+				if ds.feat[i][k] != ds.group[j] {
+					t.Fatalf("%s: doc %d feature %d in group %d, want %d", c.name, i, k, ds.feat[i][k], ds.group[j])
+				}
+				seen[ds.group[j]] = true
+			}
+			if len(ds.uniq[i]) != len(seen) {
+				t.Fatalf("%s: doc %d has %d distinct groups, want %d", c.name, i, len(ds.uniq[i]), len(seen))
+			}
 		}
 	}
 }

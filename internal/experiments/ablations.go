@@ -111,16 +111,20 @@ type RegularizerRow struct {
 
 // AblationRegularizers trains the campaign classifier under L1, L2 and no
 // regularisation on the same corpus (§4.2.2's choice of L1 for sparse,
-// interpretable models).
+// interpretable models). The L1 row is the world's own classifier, which
+// NewWorld already cross-validated and trained with the default options on
+// the same seed docs.
 func AblationRegularizers(base core.Config) *RegularizerResult {
 	w := core.NewWorld(base)
-	res := &RegularizerResult{}
-	for _, reg := range []classify.Regularizer{classify.L1, classify.L2, classify.NoReg} {
+	nz, tot := w.Classifier.Sparsity()
+	res := &RegularizerResult{Rows: []RegularizerRow{
+		{Reg: classify.L1, CVAccuracy: w.CVAccuracy, Nonzero: nz, Total: tot},
+	}}
+	for _, reg := range []classify.Regularizer{classify.L2, classify.NoReg} {
 		opts := classify.DefaultOptions()
 		opts.Reg = reg
 		acc := classify.CrossValidate(w.SeedDocs, 10, opts)
-		m := classify.Train(w.SeedDocs, opts)
-		nz, tot := m.Sparsity()
+		nz, tot := classify.Train(w.SeedDocs, opts).Sparsity()
 		res.Rows = append(res.Rows, RegularizerRow{Reg: reg, CVAccuracy: acc, Nonzero: nz, Total: tot})
 	}
 	return res

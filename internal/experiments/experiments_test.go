@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/brands"
+	"repro/internal/classify"
 	"repro/internal/core"
 )
 
@@ -497,6 +498,25 @@ func TestAblationLabelPolicyAndRegularizers(t *testing.T) {
 	}
 	if l1.Nonzero >= none.Nonzero {
 		t.Fatal("L1 must be sparser than unregularised")
+	}
+}
+
+// TestAblationL1RowIsTheWorldsClassifier checks that the L1 row, taken from
+// the world's own classifier, equals a fresh default-options training on the
+// world's seed docs.
+func TestAblationL1RowIsTheWorldsClassifier(t *testing.T) {
+	cfg := core.TestConfig()
+	l1 := AblationRegularizers(cfg).Rows[0]
+	seed := core.NewWorld(cfg).SeedDocs
+	nz, tot := classify.Train(seed, classify.DefaultOptions()).Sparsity()
+	want := RegularizerRow{
+		Reg:        classify.L1,
+		CVAccuracy: classify.CrossValidate(seed, 10, classify.DefaultOptions()),
+		Nonzero:    nz,
+		Total:      tot,
+	}
+	if l1 != want {
+		t.Fatalf("L1 row = %+v, want %+v", l1, want)
 	}
 }
 

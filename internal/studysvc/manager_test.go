@@ -40,12 +40,23 @@ func newTestManager(t *testing.T, budget, maxActive int) *Manager {
 	return m
 }
 
+// cleanupMargin is what waitDone leaves of the test's deadline for the
+// failure report and newManager's one-minute shutdown.
+const cleanupMargin = 90 * time.Second
+
+// waitDone waits for a study to finish. The limit is sized to the run, not
+// the work: the test's deadline (go test -timeout) less cleanupMargin, or 3
+// minutes when the test has no deadline.
 func waitDone(t *testing.T, h *Handle) {
 	t.Helper()
+	limit := 3 * time.Minute
+	if deadline, ok := t.Deadline(); ok {
+		limit = time.Until(deadline) - cleanupMargin
+	}
 	select {
 	case <-h.Done():
-	case <-time.After(3 * time.Minute):
-		t.Fatalf("study %s did not finish (state %s)", h.ID, h.State())
+	case <-time.After(limit):
+		t.Fatalf("study %s did not finish within %v (state %s)", h.ID, limit.Round(time.Second), h.State())
 	}
 }
 
