@@ -27,6 +27,7 @@
 package checkpoint
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -67,20 +68,25 @@ var (
 )
 
 // Encode serializes a snapshot into the framed, checksummed form.
+//
+// The payload is encoded in place after the header, which is filled in
+// once its length is known. json.Encoder's output is json.Marshal's plus
+// a trailing newline, which is dropped, so the bytes are Marshal's
+// without Marshal's copy of the payload. The Encoder hands the buffer the
+// whole payload in one Write, so the buffer grows once, to its size.
 func Encode(snap *core.StudySnapshot) ([]byte, error) {
-	payload, err := json.Marshal(snap)
-	if err != nil {
+	buf := bytes.NewBuffer(make([]byte, headerSize, headerSize+8))
+	if err := json.NewEncoder(buf).Encode(snap); err != nil {
 		return nil, fmt.Errorf("checkpoint: encode: %w", err)
 	}
-	buf := make([]byte, 0, headerSize+len(payload)+8)
-	buf = append(buf, magic[:]...)
-	buf = append(buf, envelopeVersion)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(payload)))
-	buf = append(buf, payload...)
+	data := buf.Bytes()
+	data = data[:len(data)-1] // the Encoder's trailing '\n'
+	copy(data, magic[:])
+	data[len(magic)] = envelopeVersion
+	binary.LittleEndian.PutUint64(data[len(magic)+1:headerSize], uint64(len(data)-headerSize))
 	h := fnv.New64a()
-	h.Write(buf)
-	buf = binary.LittleEndian.AppendUint64(buf, h.Sum64())
-	return buf, nil
+	h.Write(data)
+	return binary.LittleEndian.AppendUint64(data, h.Sum64()), nil
 }
 
 // Decode parses a framed snapshot. It is safe on arbitrary input: every

@@ -1,7 +1,8 @@
 package crawler
 
 import (
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -172,7 +173,8 @@ func (c *Crawler) CheckDomains(urls map[string]string, day simclock.Day) map[str
 		jobs = append(jobs, job{dom, u})
 	}
 	// Deterministic order keeps the fetch sequence stable across runs.
-	sort.Slice(jobs, func(i, j int) bool { return jobs[i].domain < jobs[j].domain })
+	// Domains are unique map keys, so any correct sort gives one order.
+	slices.SortFunc(jobs, func(a, b job) int { return strings.Compare(a.domain, b.domain) })
 
 	verdicts := make([]Verdict, len(jobs))
 	parallel.ForEachObserved(c.Workers, len(jobs), func(i int) {

@@ -63,6 +63,37 @@ func TestTokenizeScriptRawText(t *testing.T) {
 	}
 }
 
+// TestRawTextCloserOffsets: the raw-text end tag is found by byte offset
+// in the document itself, whatever precedes it. Invalid UTF-8 inside a
+// style element once shifted the offset found in a lowercased copy past
+// the end of the input and panicked the lexer (a crawler fuzz find).
+func TestRawTextCloserOffsets(t *testing.T) {
+	for _, c := range []struct{ src, text string }{
+		{"<stYle>\xf3\xf3\xf3\xf3</stYle", "\xf3\xf3\xf3\xf3"},
+		{"<script>\xff\xfe x</SCRIPT><p>after</p>", "\xff\xfe x"},
+		{"<script>\u023a\u023a</script>", "\u023a\u023a"},
+		{"<style>a</st</styl</STYLE>", "a</st</styl"},
+	} {
+		toks := Tokenize(c.src)
+		if len(toks) < 3 || toks[1].Type != TextToken || toks[1].Data != c.text || toks[2].Type != EndTagToken {
+			t.Errorf("%q: tokens %+v, want raw text %q then the end tag", c.src, toks, c.text)
+		}
+	}
+	for _, c := range []struct {
+		s, sub string
+		want   int
+	}{
+		{"ab</SCRIPT>", "</script", 2},
+		{"</scrip", "</script", -1},
+		{"<</sCrIpT", "</script", 1},
+		{"", "</style", -1},
+	} {
+		if got := indexFold(c.s, c.sub); got != c.want {
+			t.Errorf("indexFold(%q, %q) = %d, want %d", c.s, c.sub, got, c.want)
+		}
+	}
+}
+
 func TestTokenizeComment(t *testing.T) {
 	toks := Tokenize(`a<!-- hidden <b> -->z`)
 	if len(toks) != 3 || toks[1].Type != CommentToken {
