@@ -54,6 +54,12 @@ type Manager struct {
 	inflight    chan struct{}
 	inflightErr error
 
+	// lastSize is the previous save's encoded size. The next encode
+	// starts from an eighth more than it, so a growing study rarely
+	// reallocates its buffer; no buffer is kept between saves, which would
+	// hold a whole payload in the live heap all day.
+	lastSize int
+
 	cSaves      *telemetry.Counter
 	cSaveErrors *telemetry.Counter
 	cLoads      *telemetry.Counter
@@ -173,11 +179,9 @@ func (m *Manager) Wait() error {
 // save runs one save (encode, atomic write, rotation), counting a failure.
 func (m *Manager) save(snap *core.StudySnapshot) error {
 	start := time.Now()
-	data, err := Encode(snap)
-	if err == nil {
-		err = m.writeAtomic(fileFor(int(snap.NextDay)), data)
-	}
-	if err != nil {
+	data := encode(snap, m.lastSize+m.lastSize/8)
+	m.lastSize = len(data)
+	if err := m.writeAtomic(fileFor(int(snap.NextDay)), data); err != nil {
 		m.cSaveErrors.Inc()
 		return err
 	}
