@@ -12,6 +12,7 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/htmlparse"
@@ -317,15 +318,27 @@ func inert(body string) bool {
 	return !active
 }
 
+// renderKeys holds the scratch buffers render assembles memo keys in, so
+// a memo hit copies the document into a reused buffer instead of a new
+// string.
+var renderKeys = sync.Pool{New: func() any { return new([]byte) }}
+
 func (d *Detector) render(body, pageURL, referrer string) RenderResult {
 	if inert(body) {
 		return RenderResult{}
 	}
-	key := pageURL + "\x00" + referrer + "\x00" + body
-	if rr, ok := d.renders.Get(key); ok {
+	buf := renderKeys.Get().(*[]byte)
+	*buf = append(append(append(append(append((*buf)[:0], pageURL...), 0), referrer...), 0), body...)
+	rr, ok := d.renders.GetBytes(*buf)
+	key := ""
+	if !ok {
+		key = string(*buf) // the key to store: allocated only on a miss
+	}
+	renderKeys.Put(buf)
+	if ok {
 		return rr
 	}
-	rr := Render(body, pageURL, referrer)
+	rr = Render(body, pageURL, referrer)
 	if d.rendCount.Load() > cacheLimit {
 		d.renders.Clear()
 		d.rendCount.Store(0)
