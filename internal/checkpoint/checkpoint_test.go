@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"hash/fnv"
 	"os"
 	"path/filepath"
@@ -118,13 +119,23 @@ func TestDecodeRejectsDamage(t *testing.T) {
 	})
 	t.Run("bit-flips", func(t *testing.T) {
 		// A single flipped bit anywhere in the payload or checksum must be
-		// detected. Sampling offsets keeps the test fast on large files.
-		for off := headerSize; off < len(data); off += 101 {
-			bad := bytes.Clone(data)
-			bad[off] ^= 0x10
-			if _, err := Decode(bad); err == nil {
+		// detected. Sampling offsets keeps the test fast on large files;
+		// every trailer byte is flipped, including the four a CRC-32C
+		// leaves zero. Each flip is made in place and undone, so the cost
+		// is one Decode per offset rather than a copy of the file.
+		flip := func(off int) {
+			data[off] ^= 0x10
+			_, err := Decode(data)
+			data[off] ^= 0x10
+			if err == nil {
 				t.Fatalf("accepted a bit flip at offset %d", off)
 			}
+		}
+		for off := headerSize; off < len(data); off += 101 {
+			flip(off)
+		}
+		for off := len(data) - 8; off < len(data); off++ {
+			flip(off)
 		}
 	})
 	t.Run("appended-garbage", func(t *testing.T) {
@@ -136,16 +147,20 @@ func TestDecodeRejectsDamage(t *testing.T) {
 
 // frame wraps a raw payload in the SSCKPT envelope with the given envelope
 // version byte and a correct length and checksum, so tests can probe decode
-// behaviour past the framing checks.
+// behaviour past the framing checks. The checksum follows the version:
+// FNV-1a for envelopes 1 and 2, CRC-32C for 3 and any later one.
 func frame(version byte, payload []byte) []byte {
 	buf := make([]byte, 0, headerSize+len(payload)+8)
 	buf = append(buf, magic[:]...)
 	buf = append(buf, version)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(payload)))
 	buf = append(buf, payload...)
-	h := fnv.New64a()
-	h.Write(buf)
-	return binary.LittleEndian.AppendUint64(buf, h.Sum64())
+	if version <= legacyFNVVersion {
+		h := fnv.New64a()
+		h.Write(buf)
+		return binary.LittleEndian.AppendUint64(buf, h.Sum64())
+	}
+	return binary.LittleEndian.AppendUint64(buf, uint64(crc32.Checksum(buf, crc32.MakeTable(crc32.Castagnoli))))
 }
 
 // withVersion returns a copy of snap declaring the given Version.
@@ -220,6 +235,25 @@ func TestDecodeForwardCompat(t *testing.T) {
 			if _, err := Decode(frame(legacyJSONVersion, []byte(v))); err != nil {
 				t.Fatalf("JSON payload %s: %v", v, err)
 			}
+		}
+	})
+	t.Run("fnv-binary-envelope-loads", func(t *testing.T) {
+		// Envelope 2, the binary payload behind an FNV-1a trailer, is what
+		// the build before envelope 3 wrote.
+		snap := snapshotAfter(t, 2)
+		data := frame(legacyFNVVersion, appendPayload(nil, snap))
+		got, err := Decode(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, snap) {
+			t.Fatal("the envelope-2 checkpoint decoded to a different snapshot")
+		}
+		// Its checksum is FNV-1a: the same bytes behind a CRC-32C trailer
+		// do not load as envelope 2.
+		binary.LittleEndian.PutUint64(data[len(data)-8:], uint64(crc32.Checksum(data[:len(data)-8], crc32.MakeTable(crc32.Castagnoli))))
+		if _, err := Decode(data); !errors.Is(err, ErrChecksum) {
+			t.Fatalf("envelope 2 behind a CRC-32C: got %v, want ErrChecksum", err)
 		}
 	})
 	t.Run("current-snapshot-declares-version", func(t *testing.T) {

@@ -17,7 +17,7 @@ import (
 // decoded twice: as a whole file, and as a binary payload framed with a
 // correct header and checksum, so mutations reach the payload decoder
 // instead of stopping at the checksum. The seed corpus covers a genuine
-// encoding in both envelopes, every framing field damaged one at a time,
+// encoding in all three envelopes, every framing field damaged one at a time,
 // pathological length claims and the malformed-payload table.
 func FuzzDecode(f *testing.F) {
 	snap := core.NewWorld(testCfg()).Snapshot()
@@ -49,6 +49,10 @@ func FuzzDecode(f *testing.F) {
 	// Valid framing and checksum around a payload of the wrong layout: the
 	// checksum passes, the payload decode must still fail cleanly.
 	f.Add(frame(envelopeVersion, []byte("}{!~")))
+
+	// The same payload behind envelope 2's FNV-1a trailer, so mutations
+	// keep reaching that checksum branch.
+	f.Add(frame(legacyFNVVersion, valid[headerSize:len(valid)-8]))
 
 	// The same snapshot as envelope-1 JSON, and JSON that is not a snapshot.
 	legacy, err := referenceEncode(snap)

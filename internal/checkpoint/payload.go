@@ -12,7 +12,7 @@ import (
 	"repro/internal/core"
 )
 
-// The envelope-2 payload: a positional binary encoding of
+// The binary payload (envelopes 2 and 3): a positional encoding of
 // core.StudySnapshot, driven by reflect through codecs compiled once, at
 // package init, from the snapshot's type. Values are written in field
 // declaration order with no names or tags:
@@ -303,7 +303,7 @@ func appendPayload(b []byte, snap *core.StudySnapshot) []byte {
 	return snapshotCodec.enc(b, reflect.ValueOf(snap).Elem())
 }
 
-// decodePayload decodes an envelope-2 payload. Decoding is total: any
+// decodePayload decodes a binary payload. Decoding is total: any
 // input yields a snapshot or an error wrapping ErrCorrupt or
 // ErrSnapshotVersion, never a panic or an allocation the input cannot
 // account for.

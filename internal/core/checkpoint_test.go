@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/faults"
+	"repro/internal/simclock"
 )
 
 // snapshotAt runs a fresh world up to (but not including) day `day` and
@@ -60,25 +61,49 @@ func TestSnapshotResumeMatchesGolden(t *testing.T) {
 
 // TestSnapshotResumeFaultsEnabled repeats the cut-and-resume check under
 // fault injection, where the resilient fetcher's circuit breakers and the
-// coverage mask join the snapshot. No golden constant exists for this
-// profile, so the oracle is an uninterrupted run of the same config.
+// coverage mask join the snapshot. One uninterrupted run per profile is
+// the oracle and also supplies the snapshots, cut at several days; the
+// severe profile's fingerprint is pinned as well. The observe phase runs
+// serially: under faults, two verticals that see one domain on one day
+// race to pick which of their URLs is fetched, so only a serial observe
+// phase has a single faulted fingerprint.
 func TestSnapshotResumeFaultsEnabled(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	cfg := smallConfig()
-	fc, err := faults.Profile("moderate")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Faults = fc
-	want := NewWorld(cfg).Run().Fingerprint()
-
-	days := NewWorld(cfg).Sim.Days()
-	snap := snapshotAt(t, cfg, days/3)
-	data := resumeAndFinish(t, cfg, snap)
-	if got := data.Fingerprint(); got != want {
-		t.Fatalf("faults-on resume fingerprint %#x != uninterrupted %#x", got, want)
+	for _, tc := range []struct {
+		profile string
+		golden  uint64 // 0: no pinned value
+	}{
+		{"moderate", 0},
+		{"severe", goldenSevereFingerprint},
+	} {
+		t.Run(tc.profile, func(t *testing.T) {
+			cfg := smallConfig()
+			cfg.ObserveWorkers = 1
+			fc, err := faults.Profile(tc.profile)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Faults = fc
+			w := NewWorld(cfg)
+			days := w.Sim.Days()
+			snaps := map[int]*StudySnapshot{1: nil, days / 3: nil, 2 * days / 3: nil, days - 1: nil}
+			w.OnDayEnd = func(d simclock.Day) {
+				if _, ok := snaps[int(d)+1]; ok {
+					snaps[int(d)+1] = w.Snapshot()
+				}
+			}
+			want := w.Run().Fingerprint()
+			if tc.golden != 0 && uint64(want) != tc.golden {
+				t.Fatalf("uninterrupted fingerprint %#x != golden %#x", want, tc.golden)
+			}
+			for cut, snap := range snaps {
+				if got := resumeAndFinish(t, cfg, snap).Fingerprint(); got != want {
+					t.Errorf("resume from day %d: fingerprint %#x != uninterrupted %#x", cut, got, want)
+				}
+			}
+		})
 	}
 }
 

@@ -16,6 +16,10 @@ import (
 // disabled.
 const goldenSmallFingerprint = 0xf6f361ae7ec6499d
 
+// goldenSevereFingerprint is the smallConfig() fingerprint under the severe
+// fault profile with a serial observe phase (ObserveWorkers 1).
+const goldenSevereFingerprint = 0x9e69a610213e035b
+
 func TestFaultsOffMatchesGoldenFingerprint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")

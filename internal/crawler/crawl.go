@@ -26,6 +26,11 @@ type crawlShard struct {
 	mu       sync.Mutex
 	cache    map[string]Verdict
 	inflight map[string]*inflightCall
+	// added lists the domains this shard's cache gained since the last
+	// export, kept only once track is set (by the first export or a
+	// restore), so a study that never exports records nothing.
+	added []string
+	track bool
 }
 
 // Crawler wraps a Detector with the §4.1.2 workload reductions: domains
@@ -47,6 +52,9 @@ type Crawler struct {
 	shards [crawlShards]crawlShard
 	// fetches counts detector invocations (for workload accounting).
 	fetches atomic.Int64
+	// exported is the sorted domain list of the last ExportCache (nil
+	// until one): with the shards' added lists, every cached domain.
+	exported []string
 
 	// Telemetry handles (nil until Instrument; nil handles are no-ops).
 	cDetector *telemetry.Counter
@@ -143,6 +151,9 @@ func (c *Crawler) CheckDomain(domain, sampleURL string, day simclock.Day) Verdic
 	if !(out.Unknown && !out.Cloaked) {
 		if sh.cache == nil {
 			sh.cache = make(map[string]Verdict)
+		}
+		if sh.track && !seen {
+			sh.added = append(sh.added, domain)
 		}
 		sh.cache[domain] = out
 	}

@@ -1,6 +1,8 @@
 package crawler
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/campaign"
@@ -366,5 +368,72 @@ func BenchmarkCheckURLIframe(b *testing.B) {
 	f := build(&testing.T{})
 	for i := 0; i < b.N; i++ {
 		f.det.CheckURL(f.doorURL["MOONKIS"], 0)
+	}
+}
+
+// TestExportCacheFollowsChanges: each ExportCache equals the full sort of
+// the cache while domains are added, re-verified (a new verdict), dropped
+// by Invalidate and re-added, also within one day, and after a restore.
+// No export writes into an earlier export's entries.
+func TestExportCacheFollowsChanges(t *testing.T) {
+	f := build(t)
+	c := New(f.det)
+	c.RecheckDays = 1
+	check := func(dom string, d simclock.Day) {
+		u := "http://" + dom + "/"
+		for name, dd := range f.doorDom {
+			if dd == dom {
+				u = f.doorURL[name]
+			}
+		}
+		c.CheckDomain(dom, u, d)
+	}
+	var kept []CrawlerState
+	var copies [][]CachedVerdict
+	export := func(c *Crawler, when string) {
+		t.Helper()
+		got, want := c.ExportCache(), referenceExportCache(c)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: ExportCache\n%+v\nthe full sort\n%+v", when, got.Entries, want.Entries)
+		}
+		kept = append(kept, got)
+		copies = append(copies, slices.Clone(got.Entries))
+	}
+	key, moon, news := f.doorDom["KEY"], f.doorDom["MOONKIS"], f.doorDom["NEWSORG"]
+	export(c, "empty")
+	check("benign-reviews.org", 0)
+	check(key, 0)
+	export(c, "day 0")
+	c.Invalidate(key)
+	check(moon, 1)
+	check(news, 1)
+	export(c, "day 1")
+	check(key, 2)
+	check(moon, 3) // re-verified: a new CheckedDay
+	c.Invalidate("benign-reviews.org")
+	check("benign-reviews.org", 3)
+	c.Invalidate(news)
+	export(c, "day 3")
+
+	// A snapshot out of order (made by hand; ExportCache writes it sorted)
+	// restores too, and the exports after it are still the full sort.
+	rev := slices.Clone(kept[len(kept)-1].Entries)
+	slices.Reverse(rev)
+	unsorted := New(f.det)
+	unsorted.RestoreCache(CrawlerState{Entries: rev})
+	unsorted.CheckDomain(news, f.doorURL["NEWSORG"], 4)
+	export(unsorted, "after an unsorted restore")
+
+	restored := New(f.det)
+	restored.RestoreCache(kept[len(kept)-1])
+	export(restored, "after restore")
+	c = restored
+	c.Invalidate(moon)
+	check(news, 4)
+	export(c, "restored day 4")
+	for i := range kept {
+		if !reflect.DeepEqual(kept[i].Entries, copies[i]) {
+			t.Fatalf("export %d changed after it was taken", i)
+		}
 	}
 }

@@ -12,6 +12,32 @@ import (
 	"repro/internal/simweb"
 )
 
+// referenceExportCache is ExportCache as it was before it kept its order
+// across exports: sort each shard's domains, then sort the concatenation
+// again, since shards partition by hash. ExportCache must equal it.
+func referenceExportCache(c *Crawler) CrawlerState {
+	st := CrawlerState{Fetches: c.fetches.Load()}
+	for i := range c.shards {
+		sh := &c.shards[i]
+		sh.mu.Lock()
+		doms := make([]string, 0, len(sh.cache))
+		for dom := range sh.cache {
+			doms = append(doms, dom)
+		}
+		sort.Strings(doms)
+		for _, dom := range doms {
+			st.Entries = append(st.Entries, CachedVerdict{Domain: dom, Verdict: sh.cache[dom]})
+		}
+		sh.mu.Unlock()
+	}
+	sort.Slice(st.Entries, func(i, j int) bool { return st.Entries[i].Domain < st.Entries[j].Domain })
+	return st
+}
+
+// ReferenceExportCache exposes referenceExportCache to the external test
+// that drives it from whole studies.
+var ReferenceExportCache = referenceExportCache
+
 // referenceCheckURL is CheckURL without its fast paths or memos: it
 // tokenises both views even when they are the same document, and renders
 // every page it looks at. CheckURL must return the same verdict.

@@ -72,6 +72,13 @@ type breaker struct {
 	openedOn simclock.Day
 }
 
+// idle reports whether the breaker folds, on the next day that touches
+// it, into the breaker breakerFor creates for a domain it has never seen:
+// closed, no failing streak and no failure today (successes fold away).
+func (br *breaker) idle() bool {
+	return !br.open && br.failDays == 0 && br.dayFail == 0
+}
+
 // ResilientFetcher wraps a Fetcher with bounded retries, deterministic
 // sim-clock exponential backoff with jitter, and per-domain circuit
 // breakers. It is mounted between the fault-injection layer and the
@@ -287,9 +294,12 @@ func (rf *ResilientFetcher) fold(br *breaker) {
 	switch {
 	case br.daySucc > 0:
 		// Any success resets the streak and closes an open breaker (the
-		// half-open probes got through).
+		// half-open probes got through). openedOn is read only while the
+		// breaker is open; zeroing it keeps every closed breaker equal to
+		// a fresh one once folded.
 		br.failDays = 0
 		br.open = false
+		br.openedOn = 0
 	case br.dayFail > 0:
 		br.failDays++
 		if br.open {

@@ -2,6 +2,8 @@ package crawler
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/simclock"
@@ -203,5 +205,74 @@ func TestBackoffDeterministicAndBounded(t *testing.T) {
 	if rf.backoffMS("d.example.com", 3, 1)*2 == rf.backoffMS("d.example.com", 3, 2) &&
 		rf.backoffMS("d.example.com", 5, 1)*2 == rf.backoffMS("d.example.com", 5, 2) {
 		t.Fatal("jitter identical across attempts: finalizer not mixing")
+	}
+}
+
+// TestRestoreWithoutIdleBreakers: ExportState leaves idle breakers out, so
+// a fetcher restored from it lacks breakers the original still holds. Over
+// every later day the two must still short-circuit the same fetches, report
+// the same BreakerOpen state, keep the same FetchStats and export the same
+// state. Domains fail, flap, recover and go unfetched by a hash of (domain,
+// day), and the run is cut at several days.
+func TestRestoreWithoutIdleBreakers(t *testing.T) {
+	const domains, days = 24, 40
+	coin := func(dom int, d simclock.Day, salt uint64) uint64 {
+		x := uint64(dom)*0x9e3779b97f4a7c15 ^ uint64(d)*0xbf58476d1ce4e5b9 ^ salt
+		x ^= x >> 31
+		x *= 0x94d049bb133111eb
+		return (x ^ x>>29) % 10
+	}
+	domainOf := func(i int) string { return fmt.Sprintf("d%02d.example.com", i) }
+	inner := &scriptedFetcher{fn: func(req simweb.Request) simweb.Response {
+		var i int
+		fmt.Sscanf(req.URL, "http://d%02d.", &i)
+		switch c := coin(i, req.Day, 1); {
+		case i%4 == 0 && req.Day >= 6 && req.Day < 16, c < 3:
+			return simweb.Response{Status: 502} // down all day
+		case c < 5 && req.Attempt == 0:
+			return simweb.Response{Status: 503} // a retry clears it
+		}
+		return okResp()
+	}}
+	// day runs one crawl day on rf and returns what each fetch decided.
+	day := func(rf *ResilientFetcher, d simclock.Day) []string {
+		var out []string
+		for i := 0; i < domains; i++ {
+			open := rf.BreakerOpen(domainOf(i), d)
+			if coin(i, d, 2) < 3 {
+				// Not crawled today: the breaker is folded, and its day
+				// ends with no fetch at all.
+				out = append(out, fmt.Sprintf("%d open=%v", i, open))
+				continue
+			}
+			resp := rf.Fetch(simweb.Request{URL: "http://" + domainOf(i) + "/", Day: d})
+			out = append(out, fmt.Sprintf("%d open=%v short=%v status=%d", i, open, errors.Is(resp.Err, ErrCircuitOpen), resp.Status))
+		}
+		return out
+	}
+	dropped := 0
+	for _, cut := range []simclock.Day{3, 9, 14, 22} {
+		orig := NewResilientFetcher(inner, DefaultResilience(), 42)
+		for d := simclock.Day(0); d < cut; d++ {
+			day(orig, d)
+		}
+		st := orig.ExportState()
+		dropped += len(orig.breakers) - len(st.Breakers)
+		resumed := NewResilientFetcher(inner, DefaultResilience(), 42)
+		resumed.RestoreState(st)
+		for d := cut; d < days; d++ {
+			if a, b := day(orig, d), day(resumed, d); !reflect.DeepEqual(a, b) {
+				t.Fatalf("cut %d, day %d: decisions differ\noriginal: %v\nresumed:  %v", cut, d, a, b)
+			}
+			if a, b := orig.Stats(), resumed.Stats(); a != b {
+				t.Fatalf("cut %d, day %d: stats %+v != %+v", cut, d, a, b)
+			}
+			if a, b := orig.ExportState(), resumed.ExportState(); !reflect.DeepEqual(a, b) {
+				t.Fatalf("cut %d, day %d: exports differ\noriginal: %+v\nresumed:  %+v", cut, d, a, b)
+			}
+		}
+	}
+	if dropped == 0 {
+		t.Fatal("no export left an idle breaker out; the test exercises nothing")
 	}
 }

@@ -3,6 +3,7 @@ package crawler
 import (
 	"sort"
 
+	"repro/internal/shard"
 	"repro/internal/simclock"
 )
 
@@ -27,37 +28,59 @@ type CrawlerState struct {
 
 // ExportCache captures the verdict cache across all shards. Safe to call
 // when no checks are in flight (the day pipeline is quiescent between
-// days).
+// days). The first export sorts every cached domain; later ones merge the
+// domains added since into the previous export's order, drop the ones
+// Invalidate removed, and read each survivor's current verdict.
 func (c *Crawler) ExportCache() CrawlerState {
-	st := CrawlerState{Fetches: c.fetches.Load()}
+	for i := range c.shards {
+		c.shards[i].mu.Lock()
+	}
+	var adds []string
 	for i := range c.shards {
 		sh := &c.shards[i]
-		sh.mu.Lock()
-		doms := make([]string, 0, len(sh.cache))
-		for dom := range sh.cache {
-			doms = append(doms, dom)
+		if c.exported == nil {
+			//sslint:ignore maporder MergeSorted sorts adds before they are read
+			for dom := range sh.cache {
+				adds = append(adds, dom)
+			}
+		} else {
+			adds = append(adds, sh.added...)
 		}
-		sort.Strings(doms)
-		for _, dom := range doms {
-			st.Entries = append(st.Entries, CachedVerdict{Domain: dom, Verdict: sh.cache[dom]})
-		}
-		sh.mu.Unlock()
+		sh.added, sh.track = sh.added[:0], true
 	}
-	// Shards partition by hash, so per-shard order is not global order.
-	sort.Slice(st.Entries, func(i, j int) bool { return st.Entries[i].Domain < st.Entries[j].Domain })
+	doms := shard.MergeSorted(c.exported, adds)
+	st := CrawlerState{Fetches: c.fetches.Load(), Entries: make([]CachedVerdict, 0, len(doms))}
+	for _, dom := range doms {
+		if v, ok := c.shard(dom).cache[dom]; ok {
+			st.Entries = append(st.Entries, CachedVerdict{Domain: dom, Verdict: v})
+		}
+	}
+	for i := range c.shards {
+		c.shards[i].mu.Unlock()
+	}
+	// doms is this crawler's own, so it is filtered in place.
+	c.exported = doms[:0]
+	for _, e := range st.Entries {
+		c.exported = append(c.exported, e.Domain)
+	}
+	if len(st.Entries) == 0 {
+		st.Entries = nil
+	}
 	return st
 }
 
 // RestoreCache overwrites the verdict cache with a previously exported
-// snapshot.
+// snapshot, whose sorted domains become the next export's merge base.
 func (c *Crawler) RestoreCache(st CrawlerState) {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
 		sh.cache = nil
+		sh.added, sh.track = nil, true
 		sh.mu.Unlock()
 	}
-	for _, e := range st.Entries {
+	doms := make([]string, len(st.Entries))
+	for i, e := range st.Entries {
 		sh := c.shard(e.Domain)
 		sh.mu.Lock()
 		if sh.cache == nil {
@@ -65,6 +88,13 @@ func (c *Crawler) RestoreCache(st CrawlerState) {
 		}
 		sh.cache[e.Domain] = e.Verdict
 		sh.mu.Unlock()
+		doms[i] = e.Domain
+	}
+	// A list out of order (a hand-made snapshot) is not a merge base; the
+	// next export then sorts the cache from the maps.
+	c.exported = nil
+	if shard.StrictlySorted(doms) {
+		c.exported = doms
 	}
 	c.fetches.Store(st.Fetches)
 }
@@ -87,11 +117,19 @@ type ResilientState struct {
 }
 
 // ExportState captures the fetcher's breakers and workload accounting.
+// Idle breakers (closed, no failing streak, no failure on their live day)
+// are left out: the next day that touches one folds it into the breaker
+// breakerFor creates for an unseen domain, so a restore without it decides
+// every later fetch the same way. Most domains fetched under faults have
+// an idle breaker, so the export stays the size of the failing set.
 func (rf *ResilientFetcher) ExportState() ResilientState {
 	rf.mu.Lock()
 	defer rf.mu.Unlock()
 	st := ResilientState{Stats: rf.stats}
 	for dom, br := range rf.breakers {
+		if br.idle() {
+			continue
+		}
 		st.Breakers = append(st.Breakers, BreakerState{
 			Domain:   dom,
 			CurDay:   br.curDay,

@@ -102,6 +102,13 @@ type Engine struct {
 	seenDomains map[string]bool
 	newToday    int
 	slotsToday  int
+	// seenSorted is seenDomains' sorted keys as of the last export (nil
+	// until one), shared with that snapshot and never written in place;
+	// seenAdded holds the domains added since. Only a study that exports
+	// keeps them, so ExportState merges the day's few new domains in
+	// instead of sorting every domain ever seen.
+	seenSorted []string
+	seenAdded  []string
 }
 
 // New builds an engine over the deployed campaigns and term sets. terms
@@ -291,6 +298,9 @@ func (e *Engine) advanceSERP(vs *verticalState, termIdx int, sp *serp, day simcl
 		if !e.seenDomains[s.Domain] {
 			e.seenDomains[s.Domain] = true
 			e.newToday++
+			if e.seenSorted != nil {
+				e.seenAdded = append(e.seenAdded, s.Domain)
+			}
 		}
 	}
 }

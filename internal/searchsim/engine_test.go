@@ -1,6 +1,7 @@
 package searchsim
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -356,5 +357,34 @@ func BenchmarkAdvanceDay(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		wd.eng.Advance(simclock.Day(i % 245))
+	}
+}
+
+// TestSeenDomainsAfterUnsortedRestore: a snapshot whose SeenDomains is out
+// of order (made by hand; ExportState writes it sorted) still restores,
+// and the exports after it are the full sort of the seen set.
+func TestSeenDomainsAfterUnsortedRestore(t *testing.T) {
+	a := build(t, 0.02, 4, 20)
+	for d := simclock.Day(0); d < 5; d++ {
+		a.eng.Advance(d)
+	}
+	st := a.eng.ExportState()
+	st.SeenDomains = slices.Clone(st.SeenDomains)
+	slices.Reverse(st.SeenDomains)
+	doorways := map[string]*campaign.Doorway{}
+	for _, dep := range a.deps {
+		for _, dw := range dep.Doorways {
+			doorways[dw.Domain] = dw
+		}
+	}
+	b := build(t, 0.02, 4, 20)
+	if err := b.eng.RestoreState(st, func(dom string) *campaign.Doorway { return doorways[dom] }); err != nil {
+		t.Fatal(err)
+	}
+	for d := simclock.Day(5); d < 8; d++ {
+		b.eng.Advance(d)
+		if got, want := b.eng.ExportState().SeenDomains, referenceSeenDomains(b.eng); !slices.Equal(got, want) {
+			t.Fatalf("day %d: SeenDomains has %d domains, the full sort %d", d, len(got), len(want))
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/brands"
 	"repro/internal/campaign"
+	"repro/internal/shard"
 	"repro/internal/simclock"
 )
 
@@ -64,10 +65,11 @@ type EngineState struct {
 }
 
 // ExportState captures the engine's mutable state. Safe to call between
-// Advance calls (it takes the read lock).
+// Advance calls (it takes the write lock: it advances the sorted
+// seen-domain list).
 func (e *Engine) ExportState() EngineState {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	st := EngineState{
 		Day:        e.day,
 		RNG:        e.r.State(),
@@ -102,7 +104,13 @@ func (e *Engine) ExportState() EngineState {
 		st.Labeled = append(st.Labeled, DomainDay{Domain: dom, Day: d})
 	}
 	sort.Slice(st.Labeled, func(i, j int) bool { return st.Labeled[i].Domain < st.Labeled[j].Domain })
-	st.SeenDomains = sortedKeys(e.seenDomains)
+	if e.seenSorted == nil {
+		e.seenSorted = sortedKeys(e.seenDomains)
+	} else {
+		e.seenSorted = shard.MergeSorted(e.seenSorted, e.seenAdded)
+		e.seenAdded = e.seenAdded[:0]
+	}
+	st.SeenDomains = e.seenSorted
 	return st
 }
 
@@ -173,6 +181,12 @@ func (e *Engine) RestoreState(st EngineState, resolve func(domain string) *campa
 	e.seenDomains = make(map[string]bool, len(st.SeenDomains))
 	for _, d := range st.SeenDomains {
 		e.seenDomains[d] = true
+	}
+	// A list out of order (a hand-made snapshot) is not a merge base; the
+	// next export then sorts the set from the map.
+	e.seenSorted, e.seenAdded = nil, nil
+	if shard.StrictlySorted(st.SeenDomains) {
+		e.seenSorted = st.SeenDomains
 	}
 	return nil
 }

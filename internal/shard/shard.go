@@ -12,6 +12,7 @@
 package shard
 
 import (
+	"slices"
 	"sort"
 	"sync"
 )
@@ -152,4 +153,42 @@ func (m *Map[V]) Keys() []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// MergeSorted returns, in a new slice, the sorted union of base and adds.
+// base must be sorted without duplicates; adds is sorted in place and may
+// repeat keys or hold keys base has. base is only read, so it may be
+// shared with readers of an earlier result (a checkpoint that is still
+// being encoded). This keeps a sorted export of a growing set at the cost
+// of the keys added since the last one: sort the few new keys, then one
+// linear merge, instead of sorting the whole set again.
+func MergeSorted(base, adds []string) []string {
+	slices.Sort(adds)
+	out := make([]string, 0, len(base)+len(adds))
+	i := 0
+	for _, k := range adds {
+		for i < len(base) && base[i] < k {
+			out = append(out, base[i])
+			i++
+		}
+		if i < len(base) && base[i] == k {
+			continue
+		}
+		if n := len(out); n > 0 && out[n-1] == k {
+			continue
+		}
+		out = append(out, k)
+	}
+	return append(out, base[i:]...)
+}
+
+// StrictlySorted reports whether keys is sorted without duplicates: the
+// base MergeSorted requires.
+func StrictlySorted(keys []string) bool {
+	for i := 1; i < len(keys); i++ {
+		if keys[i-1] >= keys[i] {
+			return false
+		}
+	}
+	return true
 }

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -97,5 +98,33 @@ func TestGetBytesAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("GetBytes allocates %v/op, want 0", allocs)
+	}
+}
+
+func TestMergeSorted(t *testing.T) {
+	for _, tc := range []struct {
+		base, adds, want []string
+	}{
+		{nil, nil, []string{}},
+		{nil, []string{"b", "a", "b"}, []string{"a", "b"}},
+		{[]string{"b", "d"}, nil, []string{"b", "d"}},
+		{[]string{"b", "d"}, []string{"e", "a", "c", "d", "c"}, []string{"a", "b", "c", "d", "e"}},
+	} {
+		base := slices.Clone(tc.base)
+		got := MergeSorted(tc.base, slices.Clone(tc.adds))
+		if !slices.Equal(got, tc.want) || got == nil {
+			t.Errorf("MergeSorted(%q, %q) = %#v, want %q", tc.base, tc.adds, got, tc.want)
+		}
+		if !slices.Equal(tc.base, base) {
+			t.Errorf("MergeSorted wrote into base %q", base)
+		}
+		if !StrictlySorted(got) {
+			t.Errorf("MergeSorted(%q, %q) = %q is not strictly sorted", tc.base, tc.adds, got)
+		}
+	}
+	for _, keys := range [][]string{{"a", "a"}, {"b", "a"}} {
+		if StrictlySorted(keys) {
+			t.Errorf("StrictlySorted(%q) = true", keys)
+		}
 	}
 }
