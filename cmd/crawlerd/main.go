@@ -365,18 +365,23 @@ func main() {
 	det := crawler.NewDetector(fetch)
 	c := crawler.New(det)
 	c.Instrument(reg)
-	urls := make(map[string]string)
+	// One job per unique result domain, in vertical and slot order.
+	var jobs []crawler.DomainJob
+	seen := make(map[string]bool)
 	for _, v := range brands.All() {
 		w.Engine.EachSlot(v, func(_, _ int, s *searchsim.Slot) {
-			if len(urls) < *maxDom {
-				if _, dup := urls[s.Domain]; !dup {
-					urls[s.Domain] = s.URL
-				}
+			if len(jobs) < *maxDom && !seen[s.Domain] {
+				seen[s.Domain] = true
+				jobs = append(jobs, crawler.DomainJob{Domain: s.Domain, Checks: []crawler.DomainCheck{{URL: s.URL}}})
 			}
 		})
 	}
-	fmt.Printf("crawling %d unique result domains over HTTP...\n", len(urls))
-	verdicts := c.CheckDomains(urls, simclock.Day(*day))
+	verdicts := make([]crawler.Verdict, len(jobs))
+	for i := range jobs {
+		jobs[i].Checks[0].Out = &verdicts[i]
+	}
+	fmt.Printf("crawling %d unique result domains over HTTP...\n", len(jobs))
+	c.CheckDomains(jobs, simclock.Day(*day))
 
 	type row struct {
 		domain string
@@ -384,16 +389,16 @@ func main() {
 	}
 	var poisoned []row
 	unknown := 0
-	for dom, v := range verdicts {
+	for i, v := range verdicts {
 		if v.Cloaked {
-			poisoned = append(poisoned, row{dom, v})
+			poisoned = append(poisoned, row{jobs[i].Domain, v})
 		}
 		if v.Unknown {
 			unknown++
 		}
 	}
 	sort.Slice(poisoned, func(i, j int) bool { return poisoned[i].domain < poisoned[j].domain })
-	fmt.Printf("\n%d of %d domains are cloaking:\n", len(poisoned), len(urls))
+	fmt.Printf("\n%d of %d domains are cloaking:\n", len(poisoned), len(jobs))
 	for _, r := range poisoned {
 		truth := "?"
 		if spec, ok := w.TruthCampaign(r.v.StoreDomain); ok {

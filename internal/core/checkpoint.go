@@ -280,9 +280,7 @@ func (w *World) RestoreSnapshot(snap *StudySnapshot) error {
 	}
 	// Re-serve seizure notices: every in-study case seized its victim
 	// stores' then-current domains (the first len(ObservedStoreIDs) entries
-	// of the case's domain list; the bulk tail was never mounted). The
-	// snapshotted crawler cache already reflects the Invalidate each
-	// seizure issued.
+	// of the case's domain list; the bulk tail was never mounted).
 	for _, c := range w.Seizure.Cases() {
 		for i := 0; i < len(c.ObservedStoreIDs) && i < len(c.Domains); i++ {
 			w.Web.Register(c.Domains[i], &simweb.SeizureNoticeSite{

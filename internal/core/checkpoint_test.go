@@ -62,25 +62,22 @@ func TestSnapshotResumeMatchesGolden(t *testing.T) {
 // TestSnapshotResumeFaultsEnabled repeats the cut-and-resume check under
 // fault injection, where the resilient fetcher's circuit breakers and the
 // coverage mask join the snapshot. One uninterrupted run per profile is
-// the oracle and also supplies the snapshots, cut at several days; the
-// severe profile's fingerprint is pinned as well. The observe phase runs
-// serially: under faults, two verticals that see one domain on one day
-// race to pick which of their URLs is fetched, so only a serial observe
-// phase has a single faulted fingerprint.
+// the oracle and also supplies the snapshots, cut at several days; both
+// profiles' fingerprints are pinned as well. The observe phase runs at its
+// default fan-out.
 func TestSnapshotResumeFaultsEnabled(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
 	for _, tc := range []struct {
 		profile string
-		golden  uint64 // 0: no pinned value
+		golden  uint64
 	}{
-		{"moderate", 0},
+		{"moderate", goldenModerateFingerprint},
 		{"severe", goldenSevereFingerprint},
 	} {
 		t.Run(tc.profile, func(t *testing.T) {
 			cfg := smallConfig()
-			cfg.ObserveWorkers = 1
 			fc, err := faults.Profile(tc.profile)
 			if err != nil {
 				t.Fatal(err)
@@ -95,7 +92,7 @@ func TestSnapshotResumeFaultsEnabled(t *testing.T) {
 				}
 			}
 			want := w.Run().Fingerprint()
-			if tc.golden != 0 && uint64(want) != tc.golden {
+			if uint64(want) != tc.golden {
 				t.Fatalf("uninterrupted fingerprint %#x != golden %#x", want, tc.golden)
 			}
 			for cut, snap := range snaps {

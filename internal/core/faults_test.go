@@ -16,9 +16,13 @@ import (
 // disabled.
 const goldenSmallFingerprint = 0xf6f361ae7ec6499d
 
-// goldenSevereFingerprint is the smallConfig() fingerprint under the severe
-// fault profile with a serial observe phase (ObserveWorkers 1).
-const goldenSevereFingerprint = 0x9e69a610213e035b
+// goldenModerateFingerprint and goldenSevereFingerprint are the
+// smallConfig() fingerprints under the moderate and severe fault profiles,
+// at any worker count.
+const (
+	goldenModerateFingerprint = 0x864667c5d36de57d
+	goldenSevereFingerprint   = 0x9e69a610213e035b
+)
 
 func TestFaultsOffMatchesGoldenFingerprint(t *testing.T) {
 	if testing.Short() {
@@ -131,6 +135,9 @@ func TestSevereFaultsDegradeGracefully(t *testing.T) {
 	st := w.Resilient.Stats()
 	if st.Retries == 0 || st.Failures == 0 {
 		t.Fatalf("resilient fetcher saw no faults under severe profile: %+v", st)
+	}
+	if got := data.Fingerprint(); uint64(got) != goldenSevereFingerprint {
+		t.Fatalf("severe fingerprint %#x != golden %#x", got, uint64(goldenSevereFingerprint))
 	}
 	// And the run is reproducible: same seed, same profile, same dataset.
 	again := NewWorld(cfg).Run()

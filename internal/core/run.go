@@ -3,9 +3,11 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/brands"
+	"repro/internal/crawler"
 	"repro/internal/htmlparse"
 	"repro/internal/parallel"
 	"repro/internal/purchase"
@@ -77,15 +79,25 @@ func (w *World) RunContext(ctx context.Context) (*Dataset, error) {
 
 // RunDay advances the world one day.
 //
-// The day pipeline is split into a parallel observe phase and a sequential
-// commit phase. Each vertical's observation (crawl, cloaking verdicts,
-// attribution, per-vertical tallies) runs concurrently against a frozen
-// world — nothing the observe phase reads is mutated until every vertical
-// has finished. Side effects on state shared across verticals (the
-// labeler, first-seen maps, the seizure engine's visibility clocks,
-// per-campaign series) are recorded as per-vertical event lists and merged
-// afterwards in fixed vertical order, so a study produces bit-identical
-// output at any GOMAXPROCS or worker count.
+// The day pipeline is split into an observe phase and a sequential commit
+// phase. The observe phase runs against a frozen world — nothing it reads
+// is mutated until it has finished — in three steps:
+//
+//   - collect: each vertical, in parallel, lists the unique domains of its
+//     SERPs in first-slot order, each with a sample URL;
+//   - check: one crawler fan-out over the union of those domains, one job
+//     per domain, which checks the domain once for each vertical that saw
+//     it, in vertical order, with that vertical's URL;
+//   - attribute: each vertical, in parallel, walks its SERPs again and
+//     turns the verdicts into observations (cloaking, attribution,
+//     per-vertical tallies).
+//
+// Side effects on state shared across verticals (the labeler, first-seen
+// maps, the seizure engine's visibility clocks, per-campaign series) are
+// recorded as per-vertical event lists and merged afterwards in fixed
+// vertical order. Every domain sees the same sequence of crawler lookups
+// at any worker count, so a study produces bit-identical output at any
+// GOMAXPROCS or worker count, with or without faults.
 func (w *World) RunDay(d simclock.Day) {
 	daySpan := w.stDay.Start(int(d), "")
 	defer daySpan.End()
@@ -109,7 +121,11 @@ func (w *World) RunDay(d simclock.Day) {
 		obs := w.dayObs(len(verticals))
 		obsSpan := w.stObserve.Start(int(d), "")
 		parallel.ForEachObserved(w.Cfg.ObserveWorkers, len(verticals), func(i int) {
-			w.observeVertical(obs[i], verticals[i], d, inStudy)
+			w.collectVertical(obs[i], verticals[i], d)
+		}, w.obsPool)
+		w.Crawler.CheckDomains(w.dayJobs(obs), d)
+		parallel.ForEachObserved(w.Cfg.ObserveWorkers, len(verticals), func(i int) {
+			w.attributeVertical(obs[i], d, inStudy)
 		}, w.obsPool)
 		obsSpan.End()
 		commitSpan := w.stCommit.Start(int(d), "")
@@ -187,14 +203,23 @@ type watchedAgg struct {
 
 // dayObservation is one vertical's output of the read-only observe phase,
 // plus the scratch buffers the phase reuses day over day. Everything here
-// is owned by a single goroutine during observation; the commit phase
-// merges the shared-state portions in fixed vertical order.
+// is owned by a single goroutine during the collect and attribute steps;
+// in the check step the crawl pool writes verdicts, each slot from the one
+// job that owns its domain. The commit phase merges the shared-state
+// portions in fixed vertical order.
 type dayObservation struct {
 	vertical brands.Vertical
 	vo       *VerticalObs
 
-	// scratch: the day's unique doorway-candidate domains with sample URLs.
-	urls map[string]string
+	// The day's unique doorway-candidate domains in first-slot order, with
+	// their sample URLs; index maps each domain to its position. The check
+	// step writes each domain's verdict into verdicts at that position,
+	// and job holds the position's job in the day's crawler job list.
+	index    map[string]int32
+	doms     []string
+	urls     []string
+	verdicts []crawler.Verdict
+	job      []int32
 
 	// per-vertical tallies (committed to vo directly by the observe phase —
 	// each VerticalObs is touched by exactly one goroutine).
@@ -238,7 +263,7 @@ func (w *World) dayObs(n int) []*dayObservation {
 		w.obs = make([]*dayObservation, n)
 		for i := range w.obs {
 			w.obs[i] = &dayObservation{
-				urls:       make(map[string]string, 256),
+				index:      make(map[string]int32, 256),
 				attributed: make(map[string]int, 16),
 				doorNew:    make(map[string]bool),
 				storeNew:   make(map[string]bool),
@@ -253,7 +278,8 @@ func (w *World) dayObs(n int) []*dayObservation {
 
 // reset clears a record for a new day, keeping allocated capacity.
 func (o *dayObservation) reset() {
-	clear(o.urls)
+	clear(o.index)
+	o.doms, o.urls = o.doms[:0], o.urls[:0]
 	o.slots, o.top10Slots = 0, 0
 	o.top100Poisoned, o.top10Poisoned = 0, 0
 	o.penalized = 0
@@ -273,23 +299,14 @@ func (o *dayObservation) limited(term int) bool {
 	return o.limitedTerms != nil && term < len(o.limitedTerms) && o.limitedTerms[term]
 }
 
-// observeVertical runs the day's crawl over one vertical's SERPs and
-// records the observations into o. It is the read-only half of the
-// pipeline: it may run concurrently with other verticals' observations and
-// must not mutate state shared across verticals. Domain resolution goes
-// through the vertical's private snapshot (see snapshot.go) rather than the
-// global cross-vertical maps; the crawler's verdict cache, the classifier's
-// attribution cache, and the HTML generator's memo are the only shared
-// structures it touches, and all are sharded/thread-safe with
-// order-independent results for a fixed day.
-func (w *World) observeVertical(o *dayObservation, v brands.Vertical, d simclock.Day, inStudy bool) {
-	span := w.stObsVert.Start(int(d), v.String())
-	defer span.End()
+// collectVertical is the observe phase's collect step for one vertical: it
+// lists the domains of the vertical's observable slots in first-slot
+// order, with each domain's first URL as its sample. It may run
+// concurrently with other verticals' steps and writes only o.
+func (w *World) collectVertical(o *dayObservation, v brands.Vertical, d simclock.Day) {
 	o.reset()
 	o.vertical = v
 	o.vo = w.Data.Verticals[v]
-	vo := o.vo
-	snap := w.vertSnaps[v]
 
 	// Pre-compute the day's rate-limited terms (faults only): losing a term
 	// means its SERP never arrives, so its slots contribute no fetches and
@@ -306,23 +323,87 @@ func (w *World) observeVertical(o *dayObservation, v brands.Vertical, d simclock
 		}
 	}
 
-	// Collect the day's unique doorway-candidate domains with sample URLs.
 	w.Engine.EachSlot(v, func(term, _ int, s *searchsim.Slot) {
 		if o.limited(term) {
 			return
 		}
-		if _, dup := o.urls[s.Domain]; !dup {
-			o.urls[s.Domain] = s.URL
+		if _, dup := o.index[s.Domain]; !dup {
+			o.index[s.Domain] = int32(len(o.doms))
+			o.doms = append(o.doms, s.Domain)
+			o.urls = append(o.urls, s.URL)
 		}
 	})
-	verdicts := w.Crawler.CheckDomains(o.urls, d)
+}
+
+// dayJobs builds the check step's crawler jobs from the collected domains:
+// one job per domain of the day's union, in vertical order and then
+// first-slot order, which checks the domain once for each vertical that
+// saw it, in vertical order, with that vertical's sample URL and into that
+// vertical's verdict slot. The order is fixed by construction, so no sort
+// is needed. Every buffer is the world's and is re-sliced each day.
+func (w *World) dayJobs(obs []*dayObservation) []crawler.DomainJob {
+	if w.union == nil {
+		w.union = make(map[string]int32)
+	}
+	clear(w.union)
+	w.jobs, w.jobNext = w.jobs[:0], w.jobNext[:0]
+	total := 0
+	for _, o := range obs {
+		o.job = o.job[:0]
+		for _, dom := range o.doms {
+			j, ok := w.union[dom]
+			if !ok {
+				j = int32(len(w.jobs))
+				w.union[dom] = j
+				w.jobs = append(w.jobs, crawler.DomainJob{Domain: dom})
+				w.jobNext = append(w.jobNext, 0)
+			}
+			o.job = append(o.job, j)
+			w.jobNext[j]++
+		}
+		total += len(o.doms)
+	}
+	// Lay each job's checks out contiguously; jobNext turns from a count
+	// into the job's next free check.
+	w.checks = slices.Grow(w.checks[:0], total)[:total]
+	var off int32
+	for j := range w.jobs {
+		n := w.jobNext[j]
+		w.jobs[j].Checks = w.checks[off : off+n]
+		w.jobNext[j] = off
+		off += n
+	}
+	for _, o := range obs {
+		o.verdicts = slices.Grow(o.verdicts[:0], len(o.doms))[:len(o.doms)]
+		for i, j := range o.job {
+			w.checks[w.jobNext[j]] = crawler.DomainCheck{URL: o.urls[i], Out: &o.verdicts[i]}
+			w.jobNext[j]++
+		}
+	}
+	return w.jobs
+}
+
+// attributeVertical is the observe phase's attribute step for one
+// vertical: it walks the SERPs again and records the observations into o,
+// reading each slot's verdict by its domain's index. It may run
+// concurrently with other verticals' steps and must not mutate state
+// shared across verticals. Domain resolution goes through the vertical's
+// private snapshot (see snapshot.go) rather than the global cross-vertical
+// maps; the classifier's attribution cache and the HTML generator's memo
+// are the only shared structures it touches, and both are thread-safe with
+// order-independent results for a fixed day.
+func (w *World) attributeVertical(o *dayObservation, d simclock.Day, inStudy bool) {
+	v, vo := o.vertical, o.vo
+	span := w.stObsVert.Start(int(d), v.String())
+	defer span.End()
+	snap := w.vertSnaps[v]
 
 	w.Engine.EachSlot(v, func(term, rank int, s *searchsim.Slot) {
 		if o.limited(term) {
 			o.lostSlots++
 			return
 		}
-		ver := verdicts[s.Domain]
+		ver := &o.verdicts[o.index[s.Domain]]
 		if ver.Unknown && !ver.Cloaked {
 			// Every fetch for this domain failed after retries (or its
 			// breaker is open): the slot was not observed. It must not be

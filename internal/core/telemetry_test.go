@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/telemetry"
 )
 
@@ -41,53 +42,64 @@ func TestTelemetryNeutralFingerprint(t *testing.T) {
 	}
 }
 
-// TestTelemetryCountersDeterministic pins the counters themselves: with
-// faults off, every decision the pipeline makes is deterministic, so the
+// TestTelemetryCountersDeterministic pins the counters themselves: every
+// decision the pipeline makes is deterministic, faults or not, so the
 // decision counters in the snapshot must be identical between a 1-worker
 // and an 8-worker run. Wall-clock tallies (the *_ns_total pool utilisation
-// counters) are excluded — they measure this machine, not the study. (Under
-// fault injection even decision counts do NOT hold — failed fetches yield
-// uncached Unknown verdicts, so the number of fetch chains depends on crawl
-// scheduling — which is why this test runs faults-off.)
+// counters) are excluded — they measure this machine, not the study. Under
+// fault injection this holds because each domain is checked by one crawl
+// job a day, vertical by vertical: which sample URL is fetched, and so
+// which fetches fail, does not depend on scheduling.
 func TestTelemetryCountersDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
+	for _, profile := range []string{"off", "moderate", "severe"} {
+		t.Run(profile, func(t *testing.T) {
+			fc, err := faults.Profile(profile)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runWith := func(workers int) map[string]int64 {
+				cfg := smallConfig()
+				cfg.Faults = fc
+				cfg.ObserveWorkers = workers
+				cfg.CrawlWorkers = workers
+				cfg.Telemetry = telemetry.New()
+				NewWorld(cfg).Run()
+				return cfg.Telemetry.Snapshot().Counters
+			}
 
-	runWith := func(workers int) map[string]int64 {
-		cfg := smallConfig()
-		cfg.ObserveWorkers = workers
-		cfg.CrawlWorkers = workers
-		cfg.Telemetry = telemetry.New()
-		NewWorld(cfg).Run()
-		return cfg.Telemetry.Snapshot().Counters
-	}
+			// timing reports whether a counter tallies nanoseconds of wall clock.
+			timing := func(name string) bool { return strings.HasSuffix(name, "_ns_total") }
 
-	// timing reports whether a counter tallies nanoseconds of wall clock.
-	timing := func(name string) bool { return strings.HasSuffix(name, "_ns_total") }
-
-	serial := runWith(1)
-	par := runWith(8)
-	if len(serial) == 0 {
-		t.Fatal("telemetry-on run recorded no counters")
-	}
-	compared := 0
-	for name, want := range serial {
-		if timing(name) {
-			continue
-		}
-		compared++
-		if got, ok := par[name]; !ok || got != want {
-			t.Errorf("counter %s: serial=%d parallel=%d (present=%v)", name, want, got, ok)
-		}
-	}
-	if compared == 0 {
-		t.Fatal("no decision counters to compare")
-	}
-	for name := range par {
-		if _, ok := serial[name]; !ok {
-			t.Errorf("counter %s present only in the parallel run", name)
-		}
+			serial := runWith(1)
+			par := runWith(8)
+			if len(serial) == 0 {
+				t.Fatal("telemetry-on run recorded no counters")
+			}
+			compared := 0
+			for name, want := range serial {
+				if timing(name) {
+					continue
+				}
+				compared++
+				if got, ok := par[name]; !ok || got != want {
+					t.Errorf("counter %s: serial=%d parallel=%d (present=%v)", name, want, got, ok)
+				}
+			}
+			if compared == 0 {
+				t.Fatal("no decision counters to compare")
+			}
+			if fc.Enabled() && serial["crawler_fetch_attempts_total"] == 0 {
+				t.Fatal("faulted run made no resilient fetch attempts")
+			}
+			for name := range par {
+				if _, ok := serial[name]; !ok {
+					t.Errorf("counter %s present only in the parallel run", name)
+				}
+			}
+		})
 	}
 }
 

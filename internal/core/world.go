@@ -91,9 +91,16 @@ type World struct {
 	targetsOnce sync.Once         // guards the lazy build (see purchaseTargets)
 
 	// obs and shards are the day pipeline's reusable per-vertical buffers
-	// (see RunDay and applyTraffic).
-	obs    []*dayObservation
-	shards []*trafficShard
+	// (see RunDay and applyTraffic). union, jobs, checks and jobNext are
+	// the check step's day-scoped buffers (see dayJobs): the day's domains
+	// across verticals by job index, one crawler job per domain, and the
+	// jobs' checks.
+	obs     []*dayObservation
+	shards  []*trafficShard
+	union   map[string]int32
+	jobs    []crawler.DomainJob
+	checks  []crawler.DomainCheck
+	jobNext []int32
 
 	// Telemetry handles, resolved once from Cfg.Telemetry at construction.
 	// A nil registry yields nil handles throughout, so with telemetry off
@@ -378,7 +385,9 @@ func sampleTerms(r *rng.Source, terms []string, n int) []string {
 }
 
 // onSeize is the world's response to a domain seizure: the domain starts
-// serving the notice page and the crawler's cached view of it is stale.
+// serving the notice page. The crawler's verdict cache holds no entry for
+// it: the cache is keyed by SERP domains, doorways and benign sites, and
+// a store domain is never one (TestSeizedDomainsNeverCached).
 func (w *World) onSeize(domain string, c *intervention.CourtCase) {
 	w.Web.Register(domain, &simweb.SeizureNoticeSite{
 		Firm:    c.Firm.Name,
@@ -386,7 +395,6 @@ func (w *World) onSeize(domain string, c *intervention.CourtCase) {
 		Domains: c.Domains,
 		Gen:     w.Gen,
 	})
-	w.Crawler.Invalidate(domain)
 	if w.Data != nil {
 		w.Data.recordSeizure(domain, c)
 	}

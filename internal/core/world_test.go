@@ -162,3 +162,39 @@ func TestWatchedStoresArmed(t *testing.T) {
 		}
 	}
 }
+
+// TestSeizedDomainsNeverCached: the crawler's verdict cache is keyed by
+// the SERP domains it checks, doorways and benign sites. DeployAll draws
+// store and doorway domains from one namespace without reuse, so no store
+// domain, seized or not, is ever a cache key, and a seizure has no cached
+// verdict to drop.
+func TestSeizedDomainsNeverCached(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	w := NewWorld(smallConfig())
+	data := w.Run()
+	if len(data.Seizures) == 0 {
+		t.Fatal("the run seized no domain")
+	}
+	entries := w.Crawler.ExportCache().Entries
+	if len(entries) == 0 {
+		t.Fatal("the run cached no verdict")
+	}
+	cached := make(map[string]bool, len(entries))
+	for _, e := range entries {
+		cached[e.Domain] = true
+	}
+	for _, s := range data.Seizures {
+		if cached[s.Domain] {
+			t.Errorf("seized domain %s (day %d) is a verdict-cache key", s.Domain, s.Day)
+		}
+	}
+	for _, st := range w.Stores {
+		for _, dom := range st.Dep.Domains {
+			if cached[dom] {
+				t.Errorf("store %s domain %s is a verdict-cache key", st.ID(), dom)
+			}
+		}
+	}
+}

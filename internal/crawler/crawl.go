@@ -1,8 +1,6 @@
 package crawler
 
 import (
-	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -13,33 +11,31 @@ import (
 )
 
 // crawlShards is the number of verdict-cache shards. Domain checks are the
-// observe phase's dominant shared-state traffic; sharding the cache and its
-// singleflight table by domain removes the single global mutex every worker
-// used to queue on.
+// observe phase's dominant shared-state traffic; sharding the cache by
+// domain lets the crawl pool's workers, which check different domains,
+// publish verdicts without queueing on one global mutex.
 const crawlShards = 64 // power of two
 
-// crawlShard is one shard of the crawler's per-domain state: the verdict
-// cache and the in-flight detector runs for the domains hashing here. All
-// per-domain transitions (consult, adopt in-flight, publish) happen under
-// one shard's lock, preserving the exact single-mutex semantics per domain.
+// crawlShard is one shard of the verdict cache: the verdicts of the domains
+// hashing here, under one lock.
 type crawlShard struct {
-	mu       sync.Mutex
-	cache    map[string]Verdict
-	inflight map[string]*inflightCall
-	// added lists the domains this shard's cache gained since the last
-	// export, kept only once track is set (by the first export or a
-	// restore), so a study that never exports records nothing.
-	added []string
-	track bool
+	mu    sync.Mutex
+	cache map[string]Verdict
+	// published lists the domains this shard's cache wrote since the last
+	// export, new or re-verified, kept only once track is set (by the
+	// first export or a restore), so a study that never exports records
+	// nothing.
+	published []string
+	track     bool
 }
 
 // Crawler wraps a Detector with the §4.1.2 workload reductions: domains
 // previously seen and not detected as poisoned are not re-crawled, and
 // poisoned domains are re-verified on a short period rather than daily
 // (the paper notes its own crawler can lag campaigns' redirect changes,
-// footnote 7). A bounded worker pool fans fetches out, and concurrent
-// checks of the same domain are collapsed into a single detector run so
-// parallel callers (the per-vertical observe phase) never duplicate work.
+// footnote 7). A bounded worker pool fans a day's checks out, one job per
+// domain, so each domain is checked by a single goroutine in a fixed
+// order.
 type Crawler struct {
 	Det *Detector
 	// RecheckDays is how often a poisoned domain is re-verified so that
@@ -52,9 +48,10 @@ type Crawler struct {
 	shards [crawlShards]crawlShard
 	// fetches counts detector invocations (for workload accounting).
 	fetches atomic.Int64
-	// exported is the sorted domain list of the last ExportCache (nil
-	// until one): with the shards' added lists, every cached domain.
-	exported []string
+	// exported is the last ExportCache's entries (nil until one), shared
+	// with that snapshot and never written in place: with the shards'
+	// published lists, every cached verdict.
+	exported []CachedVerdict
 
 	// Telemetry handles (nil until Instrument; nil handles are no-ops).
 	cDetector *telemetry.Counter
@@ -78,14 +75,6 @@ func (c *Crawler) Instrument(reg *telemetry.Registry) {
 	c.poolObs = reg.Pool("crawl")
 }
 
-// inflightCall is one in-progress detector run. The runner stores its raw
-// verdict in v before closing done; waiters read v only after <-done (the
-// close establishes the happens-before edge).
-type inflightCall struct {
-	done chan struct{}
-	v    Verdict
-}
-
 // New returns a Crawler over the given detector.
 func New(det *Detector) *Crawler {
 	return &Crawler{Det: det, RecheckDays: 4, Workers: 8}
@@ -94,69 +83,36 @@ func New(det *Detector) *Crawler {
 // CheckDomain returns the verdict for a domain, fetching only when the
 // cache does not already answer: clean domains are never re-fetched,
 // poisoned domains are re-verified every RecheckDays. Safe for concurrent
-// use; concurrent callers for the same domain share one detector run.
-//
-// A caller that finds another goroutine's run in flight adopts that run's
-// verdict directly (merged against the same cache snapshot the runner saw)
-// instead of looping back to re-consult the cache. This bounds the wait to
-// a single re-consult even when the racing run returns a weaker,
-// uncacheable verdict — the old retry loop could spin for as long as other
-// callers kept the domain in flight — and guarantees every concurrent
-// caller for a (domain, day) pair returns the identical verdict, which the
-// deterministic day pipeline depends on.
+// use, but two concurrent checks of one domain each run the detector and
+// the later publish wins; CheckDomains gives each domain to one worker.
 func (c *Crawler) CheckDomain(domain, sampleURL string, day simclock.Day) Verdict {
 	sh := c.shard(domain)
 	sh.mu.Lock()
 	v, seen := sh.cache[domain]
+	sh.mu.Unlock()
 	if seen && (!v.Cloaked || int(day-v.CheckedDay) < c.RecheckDays) {
-		sh.mu.Unlock()
 		c.cCacheHit.Inc()
 		return v
 	}
-	if call, busy := sh.inflight[domain]; busy {
-		// Another goroutine is already running the detector for this
-		// domain. The cache entry cannot change until that run publishes
-		// (only the runner writes it, under the same shard lock that
-		// removes the inflight entry), so the (v, seen) snapshot taken
-		// above is exactly the snapshot the runner started from — applying
-		// the same merge rule to the runner's verdict yields the same
-		// result the runner returns, with no re-consult loop. It counts as
-		// a cache hit: this caller runs no detector, and whether it finds
-		// the verdict cached or still in flight is down to scheduling.
-		sh.mu.Unlock()
-		c.cCacheHit.Inc()
-		<-call.done
-		return mergeVerdict(v, seen, call.v, day)
-	}
-	call := &inflightCall{done: make(chan struct{})}
-	if sh.inflight == nil {
-		sh.inflight = make(map[string]*inflightCall)
-	}
-	sh.inflight[domain] = call
-	sh.mu.Unlock()
-
 	nv := c.Det.CheckURL(sampleURL, day)
 	c.cDetector.Inc()
-
-	sh.mu.Lock()
 	c.fetches.Add(1)
-	delete(sh.inflight, domain)
-	call.v = nv
-	close(call.done)
 	out := mergeVerdict(v, seen, nv, day)
 	// Unknown checks (transient fetch failures) are not cached: the next
 	// query retries them rather than freezing a "clean" verdict. (A stale
 	// cloaked verdict that absorbed a failed recheck is still cached — the
 	// merge kept the stronger verdict.)
-	if !(out.Unknown && !out.Cloaked) {
-		if sh.cache == nil {
-			sh.cache = make(map[string]Verdict)
-		}
-		if sh.track && !seen {
-			sh.added = append(sh.added, domain)
-		}
-		sh.cache[domain] = out
+	if out.Unknown && !out.Cloaked {
+		return out
 	}
+	sh.mu.Lock()
+	if sh.cache == nil {
+		sh.cache = make(map[string]Verdict)
+	}
+	if sh.track {
+		sh.published = append(sh.published, domain)
+	}
+	sh.cache[domain] = out
 	sh.mu.Unlock()
 	return out
 }
@@ -173,29 +129,30 @@ func mergeVerdict(old Verdict, seen bool, nv Verdict, day simclock.Day) Verdict 
 	return nv
 }
 
-// CheckDomains fans CheckDomain over many domains with the shared worker
-// pool and returns the verdicts keyed by domain. The pool never exceeds the
-// job count, and each verdict slot is written by exactly one worker, so the
-// result is independent of scheduling.
-func (c *Crawler) CheckDomains(urls map[string]string, day simclock.Day) map[string]Verdict {
-	type job struct{ domain, url string }
-	jobs := make([]job, 0, len(urls))
-	for dom, u := range urls {
-		jobs = append(jobs, job{dom, u})
-	}
-	// Deterministic order keeps the fetch sequence stable across runs.
-	// Domains are unique map keys, so any correct sort gives one order.
-	slices.SortFunc(jobs, func(a, b job) int { return strings.Compare(a.domain, b.domain) })
+// DomainCheck is one lookup within a DomainJob: the sample URL fetched on
+// a cache miss, and where CheckDomains stores the verdict.
+type DomainCheck struct {
+	URL string
+	Out *Verdict
+}
 
-	verdicts := make([]Verdict, len(jobs))
+// DomainJob is one domain's lookups for a day, run in order by one worker.
+type DomainJob struct {
+	Domain string
+	Checks []DomainCheck
+}
+
+// CheckDomains runs a day's jobs on the shared worker pool, clamped to the
+// job count. Each job's checks run in order on one worker, so when no
+// domain appears in two jobs, every domain sees the same sequence of
+// lookups, and the same fetches, at any worker count.
+func (c *Crawler) CheckDomains(jobs []DomainJob, day simclock.Day) {
 	parallel.ForEachObserved(c.Workers, len(jobs), func(i int) {
-		verdicts[i] = c.CheckDomain(jobs[i].domain, jobs[i].url, day)
+		j := &jobs[i]
+		for _, ck := range j.Checks {
+			*ck.Out = c.CheckDomain(j.Domain, ck.URL, day)
+		}
 	}, c.poolObs)
-	out := make(map[string]Verdict, len(jobs))
-	for i, j := range jobs {
-		out[j.domain] = verdicts[i]
-	}
-	return out
 }
 
 // Fetches reports how many detector invocations the cache allowed through.
@@ -210,13 +167,4 @@ func (c *Crawler) Cached(domain string) (Verdict, bool) {
 	defer sh.mu.Unlock()
 	v, ok := sh.cache[domain]
 	return v, ok
-}
-
-// Invalidate drops a domain from the cache (used when the world knows the
-// domain changed hands, e.g. after a seizure is served).
-func (c *Crawler) Invalidate(domain string) {
-	sh := c.shard(domain)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	delete(sh.cache, domain)
 }

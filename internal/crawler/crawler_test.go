@@ -313,6 +313,27 @@ func TestCrawlerKeepsCloakedVerdictWhenCampaignGoesDark(t *testing.T) {
 	}
 }
 
+// checkAll runs one CheckDomains job per domain, in domain order, and
+// returns the verdicts by domain.
+func checkAll(c *Crawler, urls map[string]string, day simclock.Day) map[string]Verdict {
+	doms := make([]string, 0, len(urls))
+	for dom := range urls {
+		doms = append(doms, dom)
+	}
+	slices.Sort(doms)
+	out := make([]Verdict, len(doms))
+	jobs := make([]DomainJob, len(doms))
+	for i, dom := range doms {
+		jobs[i] = DomainJob{Domain: dom, Checks: []DomainCheck{{URL: urls[dom], Out: &out[i]}}}
+	}
+	c.CheckDomains(jobs, day)
+	verdicts := make(map[string]Verdict, len(doms))
+	for i, dom := range doms {
+		verdicts[dom] = out[i]
+	}
+	return verdicts
+}
+
 func TestCheckDomainsParallelMatchesSerial(t *testing.T) {
 	f := build(t)
 	urls := map[string]string{
@@ -323,27 +344,14 @@ func TestCheckDomainsParallelMatchesSerial(t *testing.T) {
 	}
 	par := New(f.det)
 	par.Workers = 4
-	got := par.CheckDomains(urls, 0)
+	got := checkAll(par, urls, 0)
 	ser := New(f.det)
 	ser.Workers = 1
-	want := ser.CheckDomains(urls, 0)
+	want := checkAll(ser, urls, 0)
 	for dom := range urls {
 		if got[dom].Cloaked != want[dom].Cloaked || got[dom].Detector != want[dom].Detector {
 			t.Fatalf("%s: parallel %+v vs serial %+v", dom, got[dom], want[dom])
 		}
-	}
-}
-
-func TestInvalidate(t *testing.T) {
-	f := build(t)
-	c := New(f.det)
-	c.CheckDomain("benign-reviews.org", "http://benign-reviews.org/", 0)
-	if _, ok := c.Cached("benign-reviews.org"); !ok {
-		t.Fatal("not cached")
-	}
-	c.Invalidate("benign-reviews.org")
-	if _, ok := c.Cached("benign-reviews.org"); ok {
-		t.Fatal("still cached")
 	}
 }
 
@@ -372,9 +380,9 @@ func BenchmarkCheckURLIframe(b *testing.B) {
 }
 
 // TestExportCacheFollowsChanges: each ExportCache equals the full sort of
-// the cache while domains are added, re-verified (a new verdict), dropped
-// by Invalidate and re-added, also within one day, and after a restore.
-// No export writes into an earlier export's entries.
+// the cache while domains are added and re-verified (a new verdict), also
+// more than once between exports, and after an unsorted and a sorted
+// restore. No export writes into an earlier export's entries.
 func TestExportCacheFollowsChanges(t *testing.T) {
 	f := build(t)
 	c := New(f.det)
@@ -404,16 +412,14 @@ func TestExportCacheFollowsChanges(t *testing.T) {
 	check("benign-reviews.org", 0)
 	check(key, 0)
 	export(c, "day 0")
-	c.Invalidate(key)
 	check(moon, 1)
 	check(news, 1)
 	export(c, "day 1")
-	check(key, 2)
-	check(moon, 3) // re-verified: a new CheckedDay
-	c.Invalidate("benign-reviews.org")
-	check("benign-reviews.org", 3)
-	c.Invalidate(news)
-	export(c, "day 3")
+	check(key, 2) // re-verified: a new CheckedDay
+	check(moon, 3)
+	check(moon, 4) // re-verified twice since the last export
+	check("benign-reviews.org", 4)
+	export(c, "day 4")
 
 	// A snapshot out of order (made by hand; ExportCache writes it sorted)
 	// restores too, and the exports after it are still the full sort.
@@ -421,16 +427,16 @@ func TestExportCacheFollowsChanges(t *testing.T) {
 	slices.Reverse(rev)
 	unsorted := New(f.det)
 	unsorted.RestoreCache(CrawlerState{Entries: rev})
-	unsorted.CheckDomain(news, f.doorURL["NEWSORG"], 4)
+	unsorted.CheckDomain(news, f.doorURL["NEWSORG"], 5)
 	export(unsorted, "after an unsorted restore")
 
 	restored := New(f.det)
 	restored.RestoreCache(kept[len(kept)-1])
 	export(restored, "after restore")
 	c = restored
-	c.Invalidate(moon)
-	check(news, 4)
-	export(c, "restored day 4")
+	check(moon, 5)
+	check(news, 5)
+	export(c, "restored day 5")
 	for i := range kept {
 		if !reflect.DeepEqual(kept[i].Entries, copies[i]) {
 			t.Fatalf("export %d changed after it was taken", i)

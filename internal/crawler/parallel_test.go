@@ -53,48 +53,72 @@ func TestCheckDomainsClampsPool(t *testing.T) {
 		f.doorDom["KEY"]:     f.doorURL["KEY"],
 		f.doorDom["NEWSORG"]: f.doorURL["NEWSORG"],
 	}
-	c.CheckDomains(urls, 0)
+	checkAll(c, urls, 0)
 	if peak := cf.peak.Load(); peak > int64(len(urls)) {
 		t.Fatalf("peak concurrent fetches = %d with only %d jobs", peak, len(urls))
 	}
 }
 
-// TestCheckDomainSharesInflightRun asserts that concurrent callers asking
-// about the same domain collapse onto a single detector run — the fetch
-// count must match what a lone caller would have produced.
-func TestCheckDomainSharesInflightRun(t *testing.T) {
+// recordingFetcher records the URL of every request it serves.
+type recordingFetcher struct {
+	inner simweb.Fetcher
+	mu    sync.Mutex
+	urls  []string
+}
+
+func (r *recordingFetcher) record(u string) {
+	r.mu.Lock()
+	r.urls = append(r.urls, u)
+	r.mu.Unlock()
+}
+
+func (r *recordingFetcher) Fetch(req simweb.Request) simweb.Response {
+	r.record(req.URL)
+	return r.inner.Fetch(req)
+}
+
+func (r *recordingFetcher) FetchFollow(req simweb.Request, maxHops int) (simweb.Response, string) {
+	r.record(req.URL)
+	return r.inner.FetchFollow(req, maxHops)
+}
+
+// TestCheckDomainsRunsJobChecksInOrder: a job's checks run in order on one
+// worker. The first check of a domain fetches its own URL and publishes
+// the verdict; the later checks find it cached, run no detector and
+// return the same verdict.
+func TestCheckDomainsRunsJobChecksInOrder(t *testing.T) {
 	f := build(t)
-	c := New(f.det)
+	rf := &recordingFetcher{inner: f.web}
+	c := New(NewDetector(rf))
+	c.Workers = 4
 	dom, url := f.doorDom["KEY"], f.doorURL["KEY"]
+	root := "http://" + dom + "/"
 
-	const callers = 8
-	var start, done sync.WaitGroup
-	start.Add(1)
-	done.Add(callers)
-	verdicts := make([]Verdict, callers)
-	for i := 0; i < callers; i++ {
-		go func(i int) {
-			defer done.Done()
-			start.Wait()
-			verdicts[i] = c.CheckDomain(dom, url, 0)
-		}(i)
+	out := make([]Verdict, 3)
+	jobs := []DomainJob{
+		{Domain: dom, Checks: []DomainCheck{{URL: url, Out: &out[0]}, {URL: root, Out: &out[1]}}},
+		{Domain: "benign-reviews.org", Checks: []DomainCheck{{URL: "http://benign-reviews.org/", Out: &out[2]}}},
 	}
-	start.Done()
-	done.Wait()
-
-	if got := c.Fetches(); got != 1 {
-		t.Fatalf("detector ran %d times for one domain", got)
+	c.CheckDomains(jobs, 0)
+	if got := c.Fetches(); got != 2 {
+		t.Fatalf("detector ran %d times for two domains", got)
 	}
-	for i, v := range verdicts {
-		if !v.Cloaked || v.StoreDomain != verdicts[0].StoreDomain {
-			t.Fatalf("caller %d saw verdict %+v, caller 0 saw %+v", i, v, verdicts[0])
+	if !out[0].Cloaked || out[1] != out[0] {
+		t.Fatalf("second check of %s returned %+v, first %+v", dom, out[1], out[0])
+	}
+	if out[2].Cloaked {
+		t.Fatalf("benign domain flagged: %+v", out[2])
+	}
+	for _, u := range rf.urls {
+		if u == root {
+			t.Fatalf("the cached second check fetched its own URL %s", u)
 		}
 	}
 }
 
 // TestCheckDomainsFetchCountsMatchSerial runs the same batch on one worker
-// and on many and requires identical verdicts and — thanks to the in-flight
-// dedup — identical detector workloads.
+// and on many and requires identical verdicts and identical detector
+// workloads.
 func TestCheckDomainsFetchCountsMatchSerial(t *testing.T) {
 	f := build(t)
 	urls := map[string]string{
@@ -107,11 +131,11 @@ func TestCheckDomainsFetchCountsMatchSerial(t *testing.T) {
 
 	serial := New(NewDetector(f.web))
 	serial.Workers = 1
-	sv := serial.CheckDomains(urls, 0)
+	sv := checkAll(serial, urls, 0)
 
 	par := New(NewDetector(f.web))
 	par.Workers = 8
-	pv := par.CheckDomains(urls, 0)
+	pv := checkAll(par, urls, 0)
 
 	if len(sv) != len(pv) {
 		t.Fatalf("verdict counts differ: %d vs %d", len(sv), len(pv))

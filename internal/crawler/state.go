@@ -1,9 +1,9 @@
 package crawler
 
 import (
+	"slices"
 	"sort"
 
-	"repro/internal/shard"
 	"repro/internal/simclock"
 )
 
@@ -29,57 +29,65 @@ type CrawlerState struct {
 // ExportCache captures the verdict cache across all shards. Safe to call
 // when no checks are in flight (the day pipeline is quiescent between
 // days). The first export sorts every cached domain; later ones merge the
-// domains added since into the previous export's order, drop the ones
-// Invalidate removed, and read each survivor's current verdict.
+// domains published since, new or re-verified, into the previous export,
+// reading only their verdicts and copying every other entry as it was.
 func (c *Crawler) ExportCache() CrawlerState {
 	for i := range c.shards {
 		c.shards[i].mu.Lock()
 	}
-	var adds []string
+	var pub []string
 	for i := range c.shards {
 		sh := &c.shards[i]
 		if c.exported == nil {
-			//sslint:ignore maporder MergeSorted sorts adds before they are read
+			//sslint:ignore maporder pub is sorted before it is read
 			for dom := range sh.cache {
-				adds = append(adds, dom)
+				pub = append(pub, dom)
 			}
 		} else {
-			adds = append(adds, sh.added...)
+			pub = append(pub, sh.published...)
 		}
-		sh.added, sh.track = sh.added[:0], true
+		sh.published, sh.track = sh.published[:0], true
 	}
-	doms := shard.MergeSorted(c.exported, adds)
-	st := CrawlerState{Fetches: c.fetches.Load(), Entries: make([]CachedVerdict, 0, len(doms))}
-	for _, dom := range doms {
-		if v, ok := c.shard(dom).cache[dom]; ok {
-			st.Entries = append(st.Entries, CachedVerdict{Domain: dom, Verdict: v})
+	slices.Sort(pub)
+	pub = slices.Compact(pub)
+	// The cache only grows between exports, so the previous export's
+	// domains and pub together are every cached domain.
+	prev := c.exported
+	entries := make([]CachedVerdict, 0, len(prev)+len(pub))
+	i := 0
+	for _, dom := range pub {
+		for i < len(prev) && prev[i].Domain < dom {
+			entries = append(entries, prev[i])
+			i++
 		}
+		if i < len(prev) && prev[i].Domain == dom {
+			i++
+		}
+		entries = append(entries, CachedVerdict{Domain: dom, Verdict: c.shard(dom).cache[dom]})
 	}
+	entries = append(entries, prev[i:]...)
 	for i := range c.shards {
 		c.shards[i].mu.Unlock()
 	}
-	// doms is this crawler's own, so it is filtered in place.
-	c.exported = doms[:0]
-	for _, e := range st.Entries {
-		c.exported = append(c.exported, e.Domain)
-	}
-	if len(st.Entries) == 0 {
+	c.exported = entries
+	st := CrawlerState{Fetches: c.fetches.Load(), Entries: entries}
+	if len(entries) == 0 {
 		st.Entries = nil
 	}
 	return st
 }
 
 // RestoreCache overwrites the verdict cache with a previously exported
-// snapshot, whose sorted domains become the next export's merge base.
+// snapshot, whose sorted entries become the next export's merge base.
 func (c *Crawler) RestoreCache(st CrawlerState) {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
 		sh.cache = nil
-		sh.added, sh.track = nil, true
+		sh.published, sh.track = nil, true
 		sh.mu.Unlock()
 	}
-	doms := make([]string, len(st.Entries))
+	sorted := true
 	for i, e := range st.Entries {
 		sh := c.shard(e.Domain)
 		sh.mu.Lock()
@@ -88,13 +96,15 @@ func (c *Crawler) RestoreCache(st CrawlerState) {
 		}
 		sh.cache[e.Domain] = e.Verdict
 		sh.mu.Unlock()
-		doms[i] = e.Domain
+		if i > 0 && st.Entries[i-1].Domain >= e.Domain {
+			sorted = false
+		}
 	}
 	// A list out of order (a hand-made snapshot) is not a merge base; the
 	// next export then sorts the cache from the maps.
 	c.exported = nil
-	if shard.StrictlySorted(doms) {
-		c.exported = doms
+	if sorted {
+		c.exported = st.Entries
 	}
 	c.fetches.Store(st.Fetches)
 }

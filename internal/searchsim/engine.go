@@ -65,6 +65,10 @@ type Slot struct {
 	Doorway *campaign.Doorway // nil for benign results
 	Root    bool              // URL is the site root
 	Labeled bool              // carries the "This site may be hacked" label
+	// fresh marks a slot whose domain changed since the end-of-term walk
+	// last saw it; only such a slot can carry a domain not yet in
+	// seenDomains.
+	fresh bool
 }
 
 // Poisoned reports whether the slot is a doorway result.
@@ -169,7 +173,7 @@ func New(cfg Config, r *rng.Source, deps []*campaign.Deployment, terms map[brand
 //sslint:ignore hotalloc domain format is pinned by the golden fingerprints and runs per churned slot at day boundaries, not per page
 func (e *Engine) benignSlot(v brands.Vertical, termIdx, rank int) Slot {
 	dom := fmt.Sprintf("site%d-%d.v%d.example.org", termIdx, e.r.Intn(1<<20), int(v))
-	return Slot{Rank: rank, Domain: dom, URL: "http://" + dom + "/", Root: true}
+	return Slot{Rank: rank, Domain: dom, URL: "http://" + dom + "/", Root: true, fresh: true}
 }
 
 // capacity is the number of result slots per SERP a campaign can hold in a
@@ -295,13 +299,16 @@ func (e *Engine) advanceSERP(vs *verticalState, termIdx int, sp *serp, day simcl
 			s.Labeled = lab && s.Root
 		}
 		e.slotsToday++
-		if !e.seenDomains[s.Domain] {
+		// Only a slot whose domain changed can bring a new domain: a
+		// walked one's domain is already in seenDomains.
+		if s.fresh && !e.seenDomains[s.Domain] {
 			e.seenDomains[s.Domain] = true
 			e.newToday++
 			if e.seenSorted != nil {
 				e.seenAdded = append(e.seenAdded, s.Domain)
 			}
 		}
+		s.fresh = false
 	}
 }
 
@@ -334,6 +341,7 @@ func (e *Engine) assignDoorway(s *Slot, term string, spec *campaign.Spec, pool [
 	}
 	s.Doorway = dw
 	s.Domain = dw.Domain
+	s.fresh = true
 	rootProb := e.cfg.RootProbDeep
 	if rootHeavy(dw.Domain, e.cfg.RootHeavyShare) {
 		rootProb = e.cfg.RootProbHeavy

@@ -388,3 +388,57 @@ func TestSeenDomainsAfterUnsortedRestore(t *testing.T) {
 		}
 	}
 }
+
+// TestChurnMatchesFullWalk: the end-of-term walk looks up only the slots
+// whose domain changed, yet each day's new-domain count equals that of a
+// walk over every slot against every domain seen so far. The engine is
+// swapped for a restored copy before its first Advance (a day-0 snapshot,
+// whose slots were never walked) and mid-run, and demotions expel
+// doorways along the way.
+func TestChurnMatchesFullWalk(t *testing.T) {
+	doorways := map[string]*campaign.Doorway{}
+	eng := build(t, 0.02, 6, 30).eng
+	restore := func(d simclock.Day) {
+		t.Helper()
+		b := build(t, 0.02, 6, 30)
+		for _, dep := range b.deps {
+			for _, dw := range dep.Doorways {
+				doorways[dw.Domain] = dw
+			}
+		}
+		if err := b.eng.RestoreState(eng.ExportState(), func(dom string) *campaign.Doorway { return doorways[dom] }); err != nil {
+			t.Fatalf("restore before day %d: %v", d, err)
+		}
+		eng = b.eng
+	}
+	seen := map[string]bool{}
+	for d := simclock.Day(0); d < 60; d++ {
+		if d == 0 || d == 30 {
+			restore(d)
+		}
+		if d%10 == 5 {
+			var victim string
+			eng.EachSlot(brands.Nike, func(_, _ int, s *Slot) {
+				if victim == "" && s.Poisoned() {
+					victim = s.Domain
+				}
+			})
+			if victim != "" {
+				eng.Demote(victim)
+			}
+		}
+		eng.Advance(d)
+		want := 0
+		for _, v := range brands.All() {
+			eng.EachSlot(v, func(_, _ int, s *Slot) {
+				if !seen[s.Domain] {
+					seen[s.Domain] = true
+					want++
+				}
+			})
+		}
+		if got, _ := eng.ChurnToday(); got != want {
+			t.Fatalf("day %d: %d new domains, a full walk finds %d", d, got, want)
+		}
+	}
+}

@@ -131,6 +131,10 @@ func sortedKeys(m map[string]bool) []string {
 func (e *Engine) RestoreState(st EngineState, resolve func(domain string) *campaign.Doorway) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	e.seenDomains = make(map[string]bool, len(st.SeenDomains))
+	for _, d := range st.SeenDomains {
+		e.seenDomains[d] = true
+	}
 	byVert := make(map[int]VerticalSERPs, len(st.Verticals))
 	for _, vst := range st.Verticals {
 		byVert[vst.Vertical] = vst
@@ -150,7 +154,9 @@ func (e *Engine) RestoreState(st EngineState, resolve func(domain string) *campa
 				return fmt.Errorf("searchsim: vertical %d serp %d has %d slots, snapshot has %d", int(v), si, len(sp.slots), len(ss.Slots))
 			}
 			for i, sl := range ss.Slots {
-				slot := Slot{Rank: i, Domain: sl.Domain, URL: sl.URL, Root: sl.Root, Labeled: sl.Labeled}
+				// A slot whose domain is not yet seen has not been walked
+				// since it changed (a day-0 snapshot's slots never were).
+				slot := Slot{Rank: i, Domain: sl.Domain, URL: sl.URL, Root: sl.Root, Labeled: sl.Labeled, fresh: !e.seenDomains[sl.Domain]}
 				if sl.DoorwayDomain != "" {
 					dw := resolve(sl.DoorwayDomain)
 					if dw == nil {
@@ -177,10 +183,6 @@ func (e *Engine) RestoreState(st EngineState, resolve func(domain string) *campa
 	e.labeled = make(map[string]simclock.Day, len(st.Labeled))
 	for _, ld := range st.Labeled {
 		e.labeled[ld.Domain] = ld.Day
-	}
-	e.seenDomains = make(map[string]bool, len(st.SeenDomains))
-	for _, d := range st.SeenDomains {
-		e.seenDomains[d] = true
 	}
 	// A list out of order (a hand-made snapshot) is not a merge base; the
 	// next export then sorts the set from the map.

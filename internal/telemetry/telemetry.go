@@ -8,7 +8,7 @@
 // never draws randomness, feeds a decision, or mutates shared study state —
 // so a study produces a bit-identical Dataset (and Fingerprint) with
 // telemetry enabled or disabled, at any GOMAXPROCS. Counter values are
-// themselves deterministic for a fault-free study; duration histograms and
+// themselves deterministic, with or without faults; duration histograms and
 // pool utilisation measure wall time and are the one legitimately
 // nondeterministic surface.
 //
