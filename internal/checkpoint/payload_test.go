@@ -2,10 +2,15 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/crawler"
@@ -17,9 +22,12 @@ import (
 // core.StudySnapshot or any state type it reaches moves layoutDigest; a
 // file of the old layout then fails to decode, so the change must come
 // with a core.SnapshotVersion bump and both constants re-pinned here.
+// The envelope version is pinned beside them: it names the framing every
+// existing file carries, so moving it is a format change of its own.
 const (
 	pinnedSnapshotVersion = 2
 	pinnedLayoutDigest    = 0x99b0960e39507e2c
+	pinnedEnvelopeVersion = 3
 )
 
 func TestPayloadLayoutPinned(t *testing.T) {
@@ -28,8 +36,12 @@ func TestPayloadLayoutPinned(t *testing.T) {
 			"A snapshot field moved: bump core.SnapshotVersion if the version still reads %d, then re-pin both",
 			core.SnapshotVersion, layoutDigest, pinnedSnapshotVersion, uint64(pinnedLayoutDigest), pinnedSnapshotVersion)
 	}
+	if envelopeVersion != pinnedEnvelopeVersion {
+		t.Fatalf("envelopeVersion is %d, pinned is %d: a new framing must keep decoding version-%d files, then re-pin",
+			envelopeVersion, pinnedEnvelopeVersion, pinnedEnvelopeVersion)
+	}
 	// The digest sees what a positional format depends on: field order,
-	// names and kinds.
+	// names and kinds, also in a struct reached through a slice.
 	type ab struct {
 		A int
 		B string
@@ -46,12 +58,91 @@ func TestPayloadLayoutPinned(t *testing.T) {
 		A uint
 		B string
 	}
-	layouts := map[string]bool{}
-	for _, typ := range []reflect.Type{reflect.TypeFor[ab](), reflect.TypeFor[ba](), reflect.TypeFor[ac](), reflect.TypeFor[aUint]()} {
-		layouts[compileCodec(typ, map[reflect.Type]bool{}).layout] = true
+	type abc struct {
+		A int
+		B string
+		C bool
 	}
-	if len(layouts) != 4 {
-		t.Fatalf("reordered, renamed and retyped fields share a layout: %v", layouts)
+	type sliceAB struct{ S []ab }
+	type sliceABC struct{ S []abc }
+	layouts := map[string]reflect.Type{}
+	for _, typ := range []reflect.Type{
+		reflect.TypeFor[ab](), reflect.TypeFor[ba](), reflect.TypeFor[ac](), reflect.TypeFor[aUint](),
+		reflect.TypeFor[abc](), reflect.TypeFor[sliceAB](), reflect.TypeFor[sliceABC](),
+	} {
+		layout := compileCodec(typ, map[reflect.Type]bool{}).layout
+		if prev, dup := layouts[layout]; dup {
+			t.Errorf("%v and %v share the layout %s", prev, typ, layout)
+		}
+		layouts[layout] = typ
+	}
+}
+
+// jsonRenames lists the fields of t, and of every type it reaches, whose
+// json tag gives them a name other than their Go name, and the types
+// that decode JSON themselves.
+func jsonRenames(t reflect.Type) []string {
+	unmarshalers := []reflect.Type{reflect.TypeFor[json.Unmarshaler](), reflect.TypeFor[encoding.TextUnmarshaler]()}
+	var found []string
+	seen := map[reflect.Type]bool{}
+	var walk func(t reflect.Type)
+	walk = func(t reflect.Type) {
+		if seen[t] {
+			return
+		}
+		seen[t] = true
+		for _, u := range unmarshalers {
+			if reflect.PointerTo(t).Implements(u) {
+				found = append(found, fmt.Sprintf("%v implements %v", t, u))
+			}
+		}
+		switch t.Kind() {
+		case reflect.Pointer, reflect.Slice, reflect.Array:
+			walk(t.Elem())
+		case reflect.Struct:
+			for i := 0; i < t.NumField(); i++ {
+				f := t.Field(i)
+				if name, _, _ := strings.Cut(f.Tag.Get("json"), ","); name != "" && name != f.Name {
+					found = append(found, fmt.Sprintf("%v.%s has json name %q", t, f.Name, name))
+				}
+				walk(f.Type)
+			}
+		}
+	}
+	walk(t)
+	return found
+}
+
+// TestSnapshotJSONNamesAreFieldNames guards envelope-1 files, whose JSON
+// payload decodes by Go field name. The layout digest ignores json tags,
+// so a tag that renames a snapshot field, or a type that decodes JSON
+// itself, would drop or misread state from those files while the digest
+// stays pinned.
+func TestSnapshotJSONNamesAreFieldNames(t *testing.T) {
+	if found := jsonRenames(reflect.TypeFor[core.StudySnapshot]()); len(found) > 0 {
+		t.Fatalf("envelope-1 checkpoints would no longer decode by field name:\n%s", strings.Join(found, "\n"))
+	}
+	type renamed struct {
+		A int `json:"a"`
+		B int `json:",omitempty"`
+	}
+	type nested struct{ S []*renamed }
+	type hidden struct {
+		C int `json:"-"`
+	}
+	type custom struct{ T time.Time }
+	for _, c := range []struct {
+		typ  reflect.Type
+		want int
+	}{
+		{reflect.TypeFor[renamed](), 1},
+		{reflect.TypeFor[nested](), 1},
+		{reflect.TypeFor[hidden](), 1},
+		{reflect.TypeFor[custom](), 2}, // time.Time decodes both JSON and text
+	} {
+		if found := jsonRenames(c.typ); len(found) != c.want {
+			t.Errorf("%v: found %q, want %d findings", c.typ, found, c.want)
+		}
 	}
 }
 
