@@ -28,7 +28,7 @@ type Scope struct {
 	// package is still caught.
 	TrustedImpure map[string]bool
 	// Goldens maps analyzer name to the golden schema file it compares
-	// the extracted contract against (the wireschema/ckptschema pair).
+	// the extracted contract against (wireschema's api.schema.json).
 	// A relative path is resolved by the analyzer against the analyzed
 	// module's root (the directory holding go.mod); tests pass absolute
 	// paths. Analyzers with no entry extract but never compare.
@@ -146,10 +146,8 @@ func DefaultScope() *Scope {
 			// validation) and studysvc (the /v1 HTTP error envelope).
 			APICodes.Name: {"repro", "repro/internal/studysvc"},
 			// The wire contract is extracted where the /v1 surface is
-			// built; the checkpoint contract where the envelope codec
-			// lives (it sees core.StudySnapshot through its import).
+			// built.
 			WireSchema.Name: {"repro/internal/studysvc"},
-			CkptSchema.Name: {"repro/internal/checkpoint"},
 			// Exhaustiveness over the declared string-enum sets: study
 			// states and event types (studysvc), spec validation codes
 			// (root), disk kill points (faults) — anywhere those consts
@@ -211,11 +209,10 @@ func DefaultScope() *Scope {
 			"(*repro/internal/checkpoint.Manager).SaveAsync": true,
 			"(*repro/internal/checkpoint.Manager).Load":      true,
 		},
-		// The two contract goldens, checked in at the module root and
+		// The wire-contract golden, checked in at the module root and
 		// regenerated only via `go run ./cmd/sslint -write-schema`.
 		Goldens: map[string]string{
 			WireSchema.Name: APISchemaFile,
-			CkptSchema.Name: CkptSchemaFile,
 		},
 	}
 }

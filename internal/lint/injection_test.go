@@ -196,8 +196,8 @@ func zzTitle(rank int, domain string) string {
 }
 
 // preV4Suite is the thirteen-analyzer suite as it stood before the
-// contract-drift gate landed: everything except the schema, exhaustive
-// and errflow analyzers. The v4 injection tests run it as the control.
+// contract-drift gate landed: everything except the wireschema,
+// exhaustive and errflow analyzers. The v4 injection tests run it as the control.
 func preV4Suite() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		lint.APICodes, lint.CtxFlow, lint.FaultBoundary, lint.HotAlloc,
@@ -207,12 +207,13 @@ func preV4Suite() []*analysis.Analyzer {
 	}
 }
 
-// doctoredGolden copies a module-root schema golden into a temp file after
-// applying edit to its parsed JSON, and returns a DefaultScope whose
-// analyzer golden points at the doctored copy — "yesterday's pin", against
-// which today's code has drifted.
-func doctoredGolden(t *testing.T, analyzer, base string, edit func(types map[string]map[string]string)) *lint.Scope {
+// doctoredGolden copies the module-root api.schema.json into a temp file
+// after applying edit to its parsed JSON, and returns a DefaultScope whose
+// wireschema golden points at the doctored copy — "yesterday's pin",
+// against which today's code has drifted.
+func doctoredGolden(t *testing.T, edit func(types map[string]map[string]string)) *lint.Scope {
 	t.Helper()
+	base := lint.APISchemaFile
 	raw, err := os.ReadFile(filepath.Join(moduleRoot(t), base))
 	if err != nil {
 		t.Fatalf("reading %s: %v", base, err)
@@ -240,7 +241,7 @@ func doctoredGolden(t *testing.T, analyzer, base string, edit func(types map[str
 		t.Fatal(err)
 	}
 	scope := lint.DefaultScope()
-	scope.Goldens[analyzer] = path
+	scope.Goldens[lint.WireSchema.Name] = path
 	return scope
 }
 
@@ -279,7 +280,7 @@ func zzRegister(mux *http.ServeMux) {
 		t.Fatalf("loading studysvc with injected route: %v", err)
 	}
 
-	scope := doctoredGolden(t, lint.WireSchema.Name, "api.schema.json", func(types map[string]map[string]string) {
+	scope := doctoredGolden(t, func(types map[string]map[string]string) {
 		fields := types["repro/internal/studysvc.apiError"]
 		fields["message_legacy"] = fields["message"]
 		delete(fields, "message")
@@ -316,47 +317,6 @@ func zzRegister(mux *http.ServeMux) {
 	}
 	if !removed || !added || !route {
 		t.Fatalf("wire drift not fully caught (removed=%v added=%v route=%v); findings: %+v", removed, added, route, findings)
-	}
-}
-
-// TestInjectedSnapshotFieldDriftIsCaught proves ckptschema catches a
-// payload shape that moved under a pinned SnapshotVersion: against a
-// golden that predates DatasetState.FpIncr, the field reads as added
-// without a bump. The pre-v4 suite is silent.
-func TestInjectedSnapshotFieldDriftIsCaught(t *testing.T) {
-	loader, err := load.NewModuleLoader(moduleRoot(t))
-	if err != nil {
-		t.Fatalf("module loader: %v", err)
-	}
-	pkgs, err := loader.Load("./internal/checkpoint")
-	if err != nil {
-		t.Fatalf("loading checkpoint: %v", err)
-	}
-
-	scope := doctoredGolden(t, lint.CkptSchema.Name, "ckpt.schema.json", func(types map[string]map[string]string) {
-		delete(types["repro/internal/core.DatasetState"], "FpIncr")
-	})
-
-	base, err := lint.Run(pkgs, preV4Suite(), scope)
-	if err != nil {
-		t.Fatalf("running pre-v4 suite: %v", err)
-	}
-	if len(base) != 0 {
-		t.Fatalf("pre-v4 suite reported the drift — the control is broken: %+v", base)
-	}
-
-	findings, err := lint.Run(pkgs, lint.All(), scope)
-	if err != nil {
-		t.Fatalf("running suite: %v", err)
-	}
-	var hit []lint.Finding
-	for _, f := range findings {
-		if f.Analyzer == lint.CkptSchema.Name {
-			hit = append(hit, f)
-		}
-	}
-	if len(hit) != 1 || !strings.Contains(hit[0].Message, `checkpoint field "FpIncr" of repro/internal/core.DatasetState added without a SnapshotVersion bump`) {
-		t.Fatalf("snapshot field drift not caught; findings: %+v", findings)
 	}
 }
 

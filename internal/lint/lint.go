@@ -37,9 +37,9 @@ import (
 // All returns the full sslint analyzer suite.
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		APICodes, CkptSchema, CtxFlow, ErrFlow, Exhaustive, FaultBoundary,
-		HotAlloc, LockDiscipline, MapOrder, NilTelemetry, NoWallTime,
-		PoolOnly, Purity, RaceCapture, SeededRand, SnapshotFields, WireSchema,
+		APICodes, CtxFlow, ErrFlow, Exhaustive, FaultBoundary, HotAlloc,
+		LockDiscipline, MapOrder, NilTelemetry, NoWallTime, PoolOnly,
+		Purity, RaceCapture, SeededRand, SnapshotFields, WireSchema,
 	}
 }
 

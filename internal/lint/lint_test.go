@@ -100,49 +100,37 @@ func TestErrFlow(t *testing.T) {
 	analysistest.Run(t, "testdata/src", one(lint.ErrFlow), "errflow/a")
 }
 
-// pinFixtureGolden extracts both contracts from one fixture package
-// exactly as -write-schema would, lets the caller doctor them into "the
+// pinFixtureGolden extracts the wire contract from one fixture package
+// exactly as -write-schema would, lets the caller doctor it into "the
 // past" the golden should pin, and writes the result under a temp dir.
 // Fixture trees have no go.mod, so the returned scope carries the golden
 // as an absolute path — the documented fixture-test convention.
-func pinFixtureGolden(t *testing.T, a *analysis.Analyzer, pkgPath, base string,
-	doctor func(api *lint.APIContract, ckpt *lint.CkptContract)) *lint.Scope {
+func pinFixtureGolden(t *testing.T, pkgPath string, doctor func(api *lint.APIContract)) *lint.Scope {
 	t.Helper()
-	buildScope := &lint.Scope{Packages: map[string][]string{
-		lint.WireSchema.Name: {pkgPath},
-		lint.CkptSchema.Name: {pkgPath},
-	}}
 	pkgs, err := load.NewFixtureLoader("testdata/src").Load(pkgPath)
 	if err != nil {
 		t.Fatalf("loading %s: %v", pkgPath, err)
 	}
-	api, ckpt := lint.BuildContracts(pkgs, buildScope)
+	scope := &lint.Scope{Packages: map[string][]string{lint.WireSchema.Name: {pkgPath}}}
+	api := lint.BuildAPIContract(pkgs, scope)
+	if api == nil {
+		t.Fatalf("no wire contract extracted from %s", pkgPath)
+	}
 	if doctor != nil {
-		doctor(api, ckpt)
+		doctor(api)
 	}
-	golden := filepath.Join(t.TempDir(), base)
-	var v any
-	if a == lint.WireSchema {
-		v = api
-	} else {
-		v = ckpt
-	}
-	if v == nil || (a == lint.WireSchema && api == nil) || (a == lint.CkptSchema && ckpt == nil) {
-		t.Fatalf("no %s contract extracted from %s", a.Name, pkgPath)
-	}
-	if err := lint.WriteSchemaFile(golden, v); err != nil {
+	golden := filepath.Join(t.TempDir(), lint.APISchemaFile)
+	if err := lint.WriteSchemaFile(golden, api); err != nil {
 		t.Fatal(err)
 	}
-	return &lint.Scope{
-		Packages: map[string][]string{a.Name: {pkgPath}},
-		Goldens:  map[string]string{a.Name: golden},
-	}
+	scope.Goldens = map[string]string{lint.WireSchema.Name: golden}
+	return scope
 }
 
 // TestWireSchemaClean pins the golden from the fixture itself: the
 // re-check finds no drift.
 func TestWireSchemaClean(t *testing.T) {
-	scope := pinFixtureGolden(t, lint.WireSchema, "wireschema/clean", "api.schema.json", nil)
+	scope := pinFixtureGolden(t, "wireschema/clean", nil)
 	analysistest.RunScoped(t, "testdata/src", one(lint.WireSchema), scope, "wireschema/clean")
 }
 
@@ -150,47 +138,18 @@ func TestWireSchemaClean(t *testing.T) {
 // "message" field name, a DELETE route, no POST route — and expects a
 // finding per divergence, at the drifted declaration.
 func TestWireSchemaDrift(t *testing.T) {
-	scope := pinFixtureGolden(t, lint.WireSchema, "wireschema/drift", "api.schema.json",
-		func(api *lint.APIContract, _ *lint.CkptContract) {
-			routes := []string{"DELETE /v1/items/{id}"}
-			for _, r := range api.Routes {
-				if r != "POST /v1/items" {
-					routes = append(routes, r)
-				}
+	scope := pinFixtureGolden(t, "wireschema/drift", func(api *lint.APIContract) {
+		routes := []string{"DELETE /v1/items/{id}"}
+		for _, r := range api.Routes {
+			if r != "POST /v1/items" {
+				routes = append(routes, r)
 			}
-			sort.Strings(routes)
-			api.Routes = routes
-			reply := api.Types["wireschema/drift.Reply"]
-			reply["message"] = reply["msg"]
-			delete(reply, "msg")
-		})
+		}
+		sort.Strings(routes)
+		api.Routes = routes
+		reply := api.Types["wireschema/drift.Reply"]
+		reply["message"] = reply["msg"]
+		delete(reply, "msg")
+	})
 	analysistest.RunScoped(t, "testdata/src", one(lint.WireSchema), scope, "wireschema/drift")
-}
-
-func TestCkptSchemaClean(t *testing.T) {
-	scope := pinFixtureGolden(t, lint.CkptSchema, "ckptschema/clean", "ckpt.schema.json", nil)
-	analysistest.RunScoped(t, "testdata/src", one(lint.CkptSchema), scope, "ckptschema/clean")
-}
-
-// TestCkptSchemaDrift pins a golden predating a new field and a retype at
-// the same SnapshotVersion: both are findings.
-func TestCkptSchemaDrift(t *testing.T) {
-	scope := pinFixtureGolden(t, lint.CkptSchema, "ckptschema/drift", "ckpt.schema.json",
-		func(_ *lint.APIContract, ckpt *lint.CkptContract) {
-			ckpt.Types["ckptschema/drift.Inner"]["N"] = "string"
-			delete(ckpt.Types["ckptschema/drift.StudySnapshot"], "Extra")
-		})
-	analysistest.RunScoped(t, "testdata/src", one(lint.CkptSchema), scope, "ckptschema/drift")
-}
-
-// TestCkptSchemaVersionBump pins a golden at the previous SnapshotVersion:
-// the shape changes are sanctioned, the sole finding is the re-pin
-// reminder.
-func TestCkptSchemaVersionBump(t *testing.T) {
-	scope := pinFixtureGolden(t, lint.CkptSchema, "ckptschema/bump", "ckpt.schema.json",
-		func(_ *lint.APIContract, ckpt *lint.CkptContract) {
-			ckpt.SnapshotVersion--
-			delete(ckpt.Types["ckptschema/bump.StudySnapshot"], "Extra")
-		})
-	analysistest.RunScoped(t, "testdata/src", one(lint.CkptSchema), scope, "ckptschema/bump")
 }

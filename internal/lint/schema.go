@@ -14,13 +14,10 @@ import (
 	"repro/internal/lint/load"
 )
 
-// Golden schema files checked in at the module root. They pin the two
-// long-lived contracts — the /v1 wire surface and the checkpoint payload —
-// and are regenerated only via `go run ./cmd/sslint -write-schema`.
-const (
-	APISchemaFile  = "api.schema.json"
-	CkptSchemaFile = "ckpt.schema.json"
-)
+// APISchemaFile is the golden checked in at the module root that pins
+// the /v1 wire contract. It is regenerated only via
+// `go run ./cmd/sslint -write-schema`.
+const APISchemaFile = "api.schema.json"
 
 // TypeSchema is the JSON shape of one struct: wire field name (the json
 // tag, or the Go name where none is set) to a type descriptor. Descriptors
@@ -36,16 +33,6 @@ type TypeSchema map[string]string
 type APIContract struct {
 	Routes []string              `json:"routes"`
 	Types  map[string]TypeSchema `json:"types"`
-}
-
-// CkptContract is the extracted checkpoint contract: the payload shape of
-// core.StudySnapshot and every state struct it reaches, keyed by the
-// payload schema version (core.SnapshotVersion) and the on-disk envelope
-// version.
-type CkptContract struct {
-	EnvelopeVersion int                   `json:"envelope_version"`
-	SnapshotVersion int                   `json:"snapshot_version"`
-	Types           map[string]TypeSchema `json:"types"`
 }
 
 // WriteSchemaFile serializes a schema golden deterministically (JSON maps
@@ -360,13 +347,12 @@ func diffTypes(golden, current map[string]TypeSchema) []schemaDiff {
 	return diffs
 }
 
-// BuildContracts extracts both contracts from pkgs (a full module load)
-// exactly as the analyzers do, for `cmd/sslint -write-schema`: marshal
-// shapes are gathered across every package first, then the wire contract
-// is read from the scoped API package (the one registering mux routes)
-// and the checkpoint contract from the scoped codec package. A contract
-// whose trigger package is absent comes back nil.
-func BuildContracts(pkgs []*load.Package, scope *Scope) (*APIContract, *CkptContract) {
+// BuildAPIContract extracts the wire contract from pkgs (a full module
+// load) exactly as wireschema does, for `cmd/sslint -write-schema`:
+// marshal shapes are gathered across every package first, then the
+// contract is read from the scoped API package (the one registering mux
+// routes). It returns nil when that package is absent.
+func BuildAPIContract(pkgs []*load.Package, scope *Scope) *APIContract {
 	shapes := make(map[*types.TypeName]TypeSchema)
 	for _, p := range pkgs {
 		ps := pkgSyntax{fset: p.Fset, files: p.Files, pkg: p.Types, info: p.Info}
@@ -379,30 +365,18 @@ func BuildContracts(pkgs []*load.Package, scope *Scope) (*APIContract, *CkptCont
 		return shape, ok
 	}
 
-	var api *APIContract
-	var ckpt *CkptContract
 	for _, p := range pkgs {
-		ps := pkgSyntax{fset: p.Fset, files: p.Files, pkg: p.Types, info: p.Info}
-		if api == nil && scope.AppliesTo(WireSchema.Name, p.PkgPath) {
-			if routes, _, _ := extractRoutes(ps); len(routes) > 0 {
-				x := newSchemaExtractor(shapeFor)
-				collectJSONRoots(ps, x)
-				api = &APIContract{Routes: routes, Types: x.types}
-			}
+		if !scope.AppliesTo(WireSchema.Name, p.PkgPath) {
+			continue
 		}
-		if ckpt == nil && scope.AppliesTo(CkptSchema.Name, p.PkgPath) {
-			if anchors, ok := findCkptAnchors(p.Types); ok {
-				x := newSchemaExtractor(shapeFor)
-				x.addRoot(anchors.snap.Type(), pkgPathOf(anchors.snap), anchors.snap.Pos())
-				ckpt = &CkptContract{
-					EnvelopeVersion: int(anchors.envVersion),
-					SnapshotVersion: int(anchors.snapVersion),
-					Types:           x.types,
-				}
-			}
+		ps := pkgSyntax{fset: p.Fset, files: p.Files, pkg: p.Types, info: p.Info}
+		if routes, _, _ := extractRoutes(ps); len(routes) > 0 {
+			x := newSchemaExtractor(shapeFor)
+			collectJSONRoots(ps, x)
+			return &APIContract{Routes: routes, Types: x.types}
 		}
 	}
-	return api, ckpt
+	return nil
 }
 
 func sortedKeys[V any](m map[string]V) []string {

@@ -13,8 +13,8 @@ import (
 
 // marshalShapeFact records the wire shape a custom MarshalJSON emits for a
 // named type: the struct (usually anonymous) it hands to json.Marshal,
-// flattened to a TypeSchema. Exported bottom-up over the closure so the
-// schema analyzers see through marshalers defined in other packages
+// flattened to a TypeSchema. Exported bottom-up over the closure so
+// wireschema sees through marshalers defined in other packages
 // (export.Table's {id,title,text} shape, not its Go fields).
 type marshalShapeFact struct{ Shape TypeSchema }
 
