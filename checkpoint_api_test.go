@@ -251,7 +251,7 @@ func TestCheckpointResumeWhenComplete(t *testing.T) {
 
 // TestCheckpointConfigMismatchSurfaces: pointing a differently-seeded study
 // at an existing checkpoint directory is a usage error, not a silent
-// restart.
+// restart, through every method that runs the study.
 func TestCheckpointConfigMismatchSurfaces(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -267,13 +267,26 @@ func TestCheckpointConfigMismatchSurfaces(t *testing.T) {
 
 	other := tinyConfig()
 	other.Seed++
-	mismatched, err := New(other, WithCheckpoint(dir, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := mismatched.RunContext(context.Background()); err == nil ||
-		!strings.Contains(err.Error(), "config") {
-		t.Fatalf("got %v, want a config-mismatch restore error", err)
+	for name, run := range map[string]func(*Study) error{
+		"RunContext": func(s *Study) error {
+			_, err := s.RunContext(context.Background())
+			return err
+		},
+		"Experiment": func(s *Study) error {
+			_, err := s.Experiment("table1")
+			return err
+		},
+		"Export": func(s *Study) error { return s.Export(t.TempDir()) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			mismatched, err := New(other, WithCheckpoint(dir, 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := run(mismatched); err == nil || !strings.Contains(err.Error(), "config") {
+				t.Fatalf("got %v, want a config-mismatch restore error", err)
+			}
+		})
 	}
 }
 
