@@ -5,6 +5,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // tinyConfig trims TestConfig further so API-contract tests that run whole
@@ -15,6 +17,26 @@ func tinyConfig() Config {
 	cfg.SlotsPerTerm = 20
 	cfg.ExtendedTail = false
 	return cfg
+}
+
+// mustNew is New without options, failing tb on error.
+func mustNew(tb testing.TB, cfg Config) *Study {
+	tb.Helper()
+	s, err := New(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return s
+}
+
+// mustRun runs s to completion, failing tb on error.
+func mustRun(tb testing.TB, s *Study) *core.Dataset {
+	tb.Helper()
+	d, err := s.RunContext(context.Background())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return d
 }
 
 func TestNewRejectsUnknownFaultProfile(t *testing.T) {
@@ -77,8 +99,8 @@ func TestStudyRunContextCancellation(t *testing.T) {
 	if full.DaysRun != s.World.Sim.Days() {
 		t.Fatalf("resumed DaysRun = %d, want %d", full.DaysRun, s.World.Sim.Days())
 	}
-	// Completed runs are cached: Run must hand back the same dataset.
-	if s.Run() != full {
+	// Completed runs are cached: RunContext must hand back the same dataset.
+	if mustRun(t, s) != full {
 		t.Fatal("completed dataset was not cached")
 	}
 }
@@ -106,14 +128,5 @@ func TestExperimentReturnsTable(t *testing.T) {
 	}
 	if !strings.Contains(string(js), "Vertical") {
 		t.Fatalf("table JSON missing rendered text: %s", js)
-	}
-}
-
-// TestDeprecatedShimsStillWork pins the compatibility contract: NewStudy
-// and Run keep working for existing callers.
-func TestDeprecatedShimsStillWork(t *testing.T) {
-	s := NewStudy(tinyConfig())
-	if d := s.Run(); d == nil || d.TotalPSRs() == 0 {
-		t.Fatal("NewStudy().Run() no longer produces data")
 	}
 }

@@ -26,8 +26,7 @@ var (
 func benchDataset(b *testing.B) *core.Dataset {
 	b.Helper()
 	benchOnce.Do(func() {
-		s := NewStudy(BenchConfig())
-		benchData = s.Run()
+		benchData = mustRun(b, mustNew(b, BenchConfig()))
 	})
 	return benchData
 }
@@ -102,8 +101,7 @@ func BenchmarkAblationPayment(b *testing.B)         { benchAblation(b, "abl-paym
 func BenchmarkFullStudy(b *testing.B) {
 	cfg := ablationConfig()
 	for i := 0; i < b.N; i++ {
-		s := NewStudy(cfg)
-		d := s.Run()
+		d := mustRun(b, mustNew(b, cfg))
 		if d.TotalPSRs() == 0 {
 			b.Fatal("study produced no PSRs")
 		}
@@ -116,7 +114,7 @@ func BenchmarkFullStudy(b *testing.B) {
 func BenchmarkSimulatedDay(b *testing.B) {
 	cfg := ablationConfig()
 	cfg.ObserveWorkers = 1
-	s := NewStudy(cfg)
+	s := mustNew(b, cfg)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.World.RunDay(0)
@@ -131,7 +129,7 @@ func BenchmarkSimulatedDayParallel(b *testing.B) {
 	cfg := ablationConfig()
 	cfg.ObserveWorkers = runtime.NumCPU()
 	cfg.CrawlWorkers = runtime.NumCPU()
-	s := NewStudy(cfg)
+	s := mustNew(b, cfg)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.World.RunDay(0)
@@ -148,7 +146,7 @@ func BenchmarkSimulatedDayTelemetry(b *testing.B) {
 	cfg.ObserveWorkers = runtime.NumCPU()
 	cfg.CrawlWorkers = runtime.NumCPU()
 	cfg.Telemetry = telemetry.New()
-	s := NewStudy(cfg)
+	s := mustNew(b, cfg)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -166,7 +164,7 @@ func BenchmarkSimulatedDayFaultsOff(b *testing.B) {
 	cfg.ObserveWorkers = runtime.NumCPU()
 	cfg.CrawlWorkers = runtime.NumCPU()
 	cfg.Faults = faults.Config{}
-	s := NewStudy(cfg)
+	s := mustNew(b, cfg)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -182,7 +180,7 @@ func BenchmarkSimulatedDayFaultsModerate(b *testing.B) {
 	cfg.ObserveWorkers = runtime.NumCPU()
 	cfg.CrawlWorkers = runtime.NumCPU()
 	cfg.Faults, _ = faults.Profile("moderate")
-	s := NewStudy(cfg)
+	s := mustNew(b, cfg)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

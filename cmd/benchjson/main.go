@@ -157,6 +157,15 @@ func benchCfg() searchseizure.Config {
 	return cfg
 }
 
+// newStudy builds a study for benchmark b.
+func newStudy(b *testing.B, cfg searchseizure.Config) *searchseizure.Study {
+	s, err := searchseizure.New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return s
+}
+
 func run(name string, fn func(b *testing.B)) result {
 	r := testing.Benchmark(fn)
 	fmt.Fprintf(os.Stderr, "%-28s %12d ns/op %8d allocs/op\n", name, r.NsPerOp(), r.AllocsPerOp())
@@ -276,7 +285,10 @@ func main() {
 	rep.Results = append(rep.Results, run("FullStudy", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			d := searchseizure.NewStudy(benchCfg()).Run()
+			d, err := newStudy(b, benchCfg()).RunContext(context.Background())
+			if err != nil {
+				b.Fatal(err)
+			}
 			if d.TotalPSRs() == 0 {
 				b.Fatal("study produced no PSRs")
 			}
@@ -286,7 +298,7 @@ func main() {
 	rep.Results = append(rep.Results, run("SimulatedDaySerial", func(b *testing.B) {
 		cfg := benchCfg()
 		cfg.ObserveWorkers = 1
-		s := searchseizure.NewStudy(cfg)
+		s := newStudy(b, cfg)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -300,7 +312,7 @@ func main() {
 		cfg := benchCfg()
 		cfg.ObserveWorkers = runtime.NumCPU()
 		cfg.CrawlWorkers = runtime.NumCPU()
-		s := searchseizure.NewStudy(cfg)
+		s := newStudy(b, cfg)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -317,7 +329,7 @@ func main() {
 		cfg.ObserveWorkers = runtime.NumCPU()
 		cfg.CrawlWorkers = runtime.NumCPU()
 		cfg.Telemetry = telemetry.New()
-		s := searchseizure.NewStudy(cfg)
+		s := newStudy(b, cfg)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

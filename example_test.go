@@ -1,7 +1,9 @@
 package searchseizure_test
 
 import (
+	"context"
 	"fmt"
+	"log"
 
 	searchseizure "repro"
 )
@@ -11,8 +13,14 @@ import (
 // omitted because it depends on the configured world size.
 func Example() {
 	cfg := searchseizure.TestConfig()
-	study := searchseizure.NewStudy(cfg)
-	data := study.Run()
+	study, err := searchseizure.New(cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
+	data, err := study.RunContext(context.Background())
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Printf("PSR observations: %d\n", data.TotalPSRs())
 	fmt.Println(study.MustExperiment("table1"))

@@ -6,7 +6,9 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 	"time"
 
 	searchseizure "repro"
@@ -19,7 +21,10 @@ func main() {
 		cfg.Scale, cfg.TermsPerVertical, cfg.SlotsPerTerm)
 
 	start := time.Now()
-	study := searchseizure.NewStudy(cfg)
+	study, err := searchseizure.New(cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("world ready (%v): 52 named campaigns + %d-campaign unlabeled tail\n",
 		time.Since(start).Round(time.Millisecond), cfg.TailCampaigns)
 	fmt.Printf("campaign classifier trained on %d seed pages: 10-fold CV accuracy %.1f%%\n",
@@ -27,7 +32,10 @@ func main() {
 
 	fmt.Println("\nrunning the eight-month crawl (plus the Figure-5 tail)...")
 	start = time.Now()
-	data := study.Run()
+	data, err := study.RunContext(context.Background())
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("done in %v\n\n", time.Since(start).Round(time.Millisecond))
 
 	fmt.Println(study.MustExperiment("table1"))

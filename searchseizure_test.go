@@ -16,8 +16,8 @@ var (
 func sharedStudy(t *testing.T) *Study {
 	t.Helper()
 	studyOnce.Do(func() {
-		study = NewStudy(TestConfig())
-		study.Run()
+		study = mustNew(t, TestConfig())
+		mustRun(t, study)
 	})
 	return study
 }
@@ -43,10 +43,10 @@ func TestExperimentRegistry(t *testing.T) {
 
 func TestStudyRunIdempotent(t *testing.T) {
 	s := sharedStudy(t)
-	a := s.Run()
-	b := s.Run()
+	a := mustRun(t, s)
+	b := mustRun(t, s)
 	if a != b {
-		t.Fatal("Run must be idempotent")
+		t.Fatal("RunContext must be idempotent")
 	}
 }
 

@@ -181,8 +181,8 @@ func TestNewFromSpecMatchesNew(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := fromSpec.Run()
-	b := fromCfg.Run()
+	a := mustRun(t, fromSpec)
+	b := mustRun(t, fromCfg)
 	if a.DaysRun != 3 || a.DayFingerprint() != b.DayFingerprint() {
 		t.Fatalf("spec study (%d days, %#x) != config study (%d days, %#x)",
 			a.DaysRun, a.DayFingerprint(), b.DaysRun, b.DayFingerprint())
@@ -194,7 +194,7 @@ func TestNewFromSpecMatchesNew(t *testing.T) {
 }
 
 func TestExperimentUnknownIDIsTyped(t *testing.T) {
-	s := NewStudy(tinyConfig())
+	s := mustNew(t, tinyConfig())
 	_, err := s.Experiment("nope")
 	if !errors.Is(err, ErrUnknownExperiment) {
 		t.Fatalf("Experiment(nope) = %v, want ErrUnknownExperiment", err)
