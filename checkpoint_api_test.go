@@ -9,6 +9,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -264,7 +265,22 @@ func TestCheckpointConfigMismatchSurfaces(t *testing.T) {
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
+	files := func() []string {
+		t.Helper()
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range ents {
+			names = append(names, e.Name())
+		}
+		return names
+	}
+	want := files()
 
+	// A failed restore leaves the world half restored: a second call on
+	// the same study must fail the same way, not run a fresh study.
 	other := tinyConfig()
 	other.Seed++
 	for name, run := range map[string]func(*Study) error{
@@ -276,17 +292,26 @@ func TestCheckpointConfigMismatchSurfaces(t *testing.T) {
 			_, err := s.Experiment("table1")
 			return err
 		},
-		"Export": func(s *Study) error { return s.Export(t.TempDir()) },
+		"Export":  func(s *Study) error { return s.Export(t.TempDir()) },
+		"Recover": func(s *Study) error { return s.Recover() },
 	} {
 		t.Run(name, func(t *testing.T) {
 			mismatched, err := New(other, WithCheckpoint(dir, 1))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := run(mismatched); err == nil || !strings.Contains(err.Error(), "config") {
-				t.Fatalf("got %v, want a config-mismatch restore error", err)
+			for call := 1; call <= 2; call++ {
+				if err := run(mismatched); err == nil || !strings.Contains(err.Error(), "config") {
+					t.Fatalf("call %d: got %v, want a config-mismatch restore error", call, err)
+				}
+			}
+			if _, err := mismatched.RunContext(context.Background()); err == nil {
+				t.Fatal("RunContext after a failed restore returned no error")
 			}
 		})
+	}
+	if got := files(); !slices.Equal(got, want) {
+		t.Fatalf("checkpoint directory holds %v after the failed restores, want only %v", got, want)
 	}
 }
 

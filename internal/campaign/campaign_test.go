@@ -127,6 +127,26 @@ func TestKeys(t *testing.T) {
 	}
 }
 
+// TestKeyAllocFree is the alloc gate for campaign keys: the search engine
+// and the world look a key up per SERP slot and per doorway, so a roster
+// or tail spec returns the key its builder computed, and a spec built as a
+// literal still gets one.
+func TestKeyAllocFree(t *testing.T) {
+	w := simclock.StudyWindow()
+	for _, s := range append(Roster(w), TailRoster(w, 3)...) {
+		var got string
+		if allocs := testing.AllocsPerRun(100, func() { got = s.Key() }); allocs != 0 {
+			t.Errorf("%s: Key allocates %v/op, want 0", s.Name, allocs)
+		}
+		if want := keyOf(s.Name); got != want {
+			t.Errorf("%s: Key() = %q, want %q", s.Name, got, want)
+		}
+	}
+	if got := (&Spec{Name: "PHP?P="}).Key(); got != "php?p=" {
+		t.Errorf("literal spec Key() = %q, want php?p=", got)
+	}
+}
+
 func TestIntensityShape(t *testing.T) {
 	w := simclock.StudyWindow()
 	vera := ByName(Roster(w))["VERA"]

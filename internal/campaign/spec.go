@@ -91,10 +91,19 @@ type Spec struct {
 	// RotationDays, if non-zero, proactively rotates store domains on this
 	// period (the BIGLOVE coco*.com behaviour of §5.2.3).
 	RotationDays int
+
+	// key is keyOf(Name), filled by the roster builders: the engine and
+	// the world look the key up per SERP slot and per doorway.
+	key string
 }
 
 // Key returns the campaign's stable lowercase identifier.
-func (s *Spec) Key() string { return keyOf(s.Name) }
+func (s *Spec) Key() string {
+	if s.key != "" {
+		return s.key
+	}
+	return keyOf(s.Name)
+}
 
 func keyOf(name string) string {
 	out := make([]byte, 0, len(name))
@@ -450,6 +459,9 @@ func Roster(w simclock.Window) []*Spec {
 			PeakFrom:     simclock.Day(10 + (n * 37 % 200)),
 			ReactionDays: 10 + n%12,
 		})
+	}
+	for _, s := range specs {
+		s.key = keyOf(s.Name)
 	}
 	return specs
 }

@@ -18,8 +18,10 @@ func TailRoster(w simclock.Window, n int) []*Spec {
 	for i := 0; i < n; i++ {
 		h := int(hash(fmt.Sprintf("tail/%d", i)))
 		verts := tailVerticals(i)
+		name := fmt.Sprintf("TAIL.%02d", i)
 		out = append(out, &Spec{
-			Name:      fmt.Sprintf("TAIL.%02d", i),
+			Name:      name,
+			key:       keyOf(name),
 			Doorways:  60 + h%520,
 			Stores:    2 + h%14,
 			Brands:    len(verts),

@@ -13,7 +13,6 @@ import (
 	"repro/internal/purchase"
 	"repro/internal/searchsim"
 	"repro/internal/simclock"
-	"repro/internal/simweb"
 	"repro/internal/store"
 )
 
@@ -283,12 +282,7 @@ func (w *World) RestoreSnapshot(snap *StudySnapshot) error {
 	// of the case's domain list; the bulk tail was never mounted).
 	for _, c := range w.Seizure.Cases() {
 		for i := 0; i < len(c.ObservedStoreIDs) && i < len(c.Domains); i++ {
-			w.Web.Register(c.Domains[i], &simweb.SeizureNoticeSite{
-				Firm:    c.Firm.Name,
-				CaseID:  c.ID,
-				Domains: c.Domains,
-				Gen:     w.Gen,
-			})
+			w.Web.Register(c.Domains[i], w.noticeSite(c))
 		}
 	}
 	w.nextDay = snap.NextDay

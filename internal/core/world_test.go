@@ -198,3 +198,42 @@ func TestSeizedDomainsNeverCached(t *testing.T) {
 		}
 	}
 }
+
+// TestSeizureNoticeSharedPerCase: every seized domain of a court case is
+// served by one notice site, so the notice is rendered once per case, both
+// in the run that seized it and in a world restored from its snapshot.
+func TestSeizureNoticeSharedPerCase(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	cfg := smallConfig()
+	w := NewWorld(cfg)
+	w.Run()
+	restored := NewWorld(cfg)
+	if err := restored.RestoreSnapshot(w.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	for name, w := range map[string]*World{"run": w, "restored": restored} {
+		shared := 0
+		for _, c := range w.Seizure.Cases() {
+			var first *simweb.SeizureNoticeSite
+			for i := 0; i < len(c.ObservedStoreIDs) && i < len(c.Domains); i++ {
+				site, _ := w.Web.Lookup(c.Domains[i])
+				notice, ok := site.(*simweb.SeizureNoticeSite)
+				switch {
+				case !ok || notice.CaseID != c.ID:
+					t.Fatalf("%s: seized domain %s is not served by case %s's notice", name, c.Domains[i], c.ID)
+				case first == nil:
+					first = notice
+				case notice != first:
+					t.Fatalf("%s: case %s serves domain %s from a second notice site", name, c.ID, c.Domains[i])
+				default:
+					shared++
+				}
+			}
+		}
+		if shared == 0 {
+			t.Fatalf("%s: no case seized two observed domains", name)
+		}
+	}
+}

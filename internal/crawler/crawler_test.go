@@ -67,6 +67,22 @@ func build(t *testing.T) *fixture {
 	return f
 }
 
+// TestHostOfAllocFree is the alloc gate for the detector's host split: it
+// runs two or three times per checked URL, so on the URLs the simulator
+// writes it must not allocate.
+func TestHostOfAllocFree(t *testing.T) {
+	f := build(t)
+	for name, u := range f.doorURL {
+		var got string
+		if allocs := testing.AllocsPerRun(500, func() { got = hostOf(u) }); allocs != 0 {
+			t.Errorf("hostOf(%q) allocates %v/op, want 0", u, allocs)
+		}
+		if got != f.doorDom[name] {
+			t.Errorf("hostOf(%q) = %q, want %q", u, got, f.doorDom[name])
+		}
+	}
+}
+
 func TestDaggerDetectsHTTPRedirectCloaking(t *testing.T) {
 	f := build(t)
 	v := f.det.CheckURL(f.doorURL["KEY"], 0)

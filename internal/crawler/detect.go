@@ -439,6 +439,9 @@ func (d *Detector) inspectLanding(v *Verdict, landing string, day simclock.Day) 
 }
 
 func hostOf(raw string) string {
+	if host, _, ok := simweb.SplitURL(raw); ok {
+		return host
+	}
 	u, err := url.Parse(raw)
 	if err != nil {
 		return ""

@@ -618,8 +618,9 @@ func (g *Generator) appendBenignResultPage(b []byte, domain, term string) []byte
 
 // SeizureNotice renders the serving-notice page a seized domain returns,
 // embedding the court case identifier the seizure analysis scrapes
-// (§5.3's data collection path). Notices are rare (one per seizure event),
-// so they are built in scratch but not memoised.
+// (§5.3's data collection path). It is built in scratch and not memoised
+// here: simweb.SeizureNoticeSite serves all of a case's domains and keeps
+// the notice it renders on its first fetch.
 func (g *Generator) SeizureNotice(firm, caseID string, domains []string) string {
 	s := g.scratch.Get()
 	b := s.buf[:0]

@@ -153,11 +153,17 @@ func (w *Web) DomainNames() []string {
 // Fetch resolves and serves a request in process. Unknown hosts return 404;
 // malformed URLs return 400.
 func (w *Web) Fetch(req Request) Response {
-	u, err := url.Parse(req.URL)
-	if err != nil || u.Host == "" {
+	host, _, ok := SplitURL(req.URL)
+	if !ok {
+		u, err := url.Parse(req.URL)
+		if err != nil || u.Host == "" {
+			return Response{Status: 400, Body: "bad request"}
+		}
+		host = u.Hostname()
+	} else if host == "" {
 		return Response{Status: 400, Body: "bad request"}
 	}
-	site, ok := w.Lookup(u.Hostname())
+	site, ok := w.Lookup(host)
 	if !ok {
 		return Response{Status: 404, Body: "no such host"}
 	}
@@ -182,6 +188,44 @@ func (w *Web) FetchFollow(req Request, maxHops int) (Response, string) {
 			Attempt:   cur.Attempt,
 		}
 	}
+}
+
+// SplitURL splits the URLs the simulator writes into host and path without
+// allocating. It accepts only "http://" or "https://" followed by an
+// authority of [A-Za-z0-9.-] bytes, ending at the first '/', '?' or '#',
+// and a rest holding no '%' and no control byte; path is that rest up to
+// its first '?' or '#'. On that shape net/url.Parse succeeds with the same
+// Hostname and Path, and with an empty Host exactly when host is empty
+// (FuzzSplitURL checks it). For any other URL ok is false, and the caller
+// must fall back to net/url.Parse.
+func SplitURL(raw string) (host, path string, ok bool) {
+	rest, found := strings.CutPrefix(raw, "http://")
+	if !found {
+		if rest, found = strings.CutPrefix(raw, "https://"); !found {
+			return "", "", false
+		}
+	}
+	i := 0
+	for ; i < len(rest); i++ {
+		c := rest[i]
+		if c == '/' || c == '?' || c == '#' {
+			break
+		}
+		if !('a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' || c == '.' || c == '-') {
+			return "", "", false
+		}
+	}
+	host, rest = rest[:i], rest[i:]
+	for j := 0; j < len(rest); j++ {
+		if c := rest[j]; c == '%' || c < ' ' || c == 0x7f {
+			return "", "", false
+		}
+	}
+	path = rest
+	if j := strings.IndexAny(rest, "?#"); j >= 0 {
+		path = rest[:j]
+	}
+	return host, path, true
 }
 
 // ResolveURL resolves a possibly relative location against a base URL.

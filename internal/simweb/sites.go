@@ -98,20 +98,24 @@ type StoreSite struct {
 // cart/checkout pages, an order-creation endpoint, and (for stores that
 // left them public) the AWStats report.
 func (s *StoreSite) Serve(req Request) Response {
-	u, err := url.Parse(req.URL)
-	if err != nil {
-		return Response{Status: 400, Body: "bad url"}
+	host, path, ok := SplitURL(req.URL)
+	if !ok {
+		u, err := url.Parse(req.URL)
+		if err != nil {
+			return Response{Status: 400, Body: "bad url"}
+		}
+		host, path = u.Hostname(), u.Path
 	}
 	dep := s.Store.Dep
 	switch {
-	case strings.HasPrefix(u.Path, analytics.DefaultPath):
+	case strings.HasPrefix(path, analytics.DefaultPath):
 		if !s.Store.AWStatsPublic {
 			return Response{Status: 403, Body: "forbidden"}
 		}
 		snap := s.Store.Snapshot()
 		return Response{Status: 200, Body: analytics.Render(
-			u.Hostname(), s.Window, snap.Visits, snap.PageViews, snap.Referrers)}
-	case strings.HasPrefix(u.Path, "/order/new"):
+			host, s.Window, snap.Visits, snap.PageViews, snap.Referrers)}
+	case strings.HasPrefix(path, "/order/new"):
 		// Stores belonging to a collapsed campaign stop processing orders
 		// (the paper observed KEY's stores doing exactly this after its
 		// PSR collapse).
@@ -129,7 +133,7 @@ func (s *StoreSite) Serve(req Request) Response {
 		body := fmt.Sprintf(
 			"<html><head><title>Order Confirmation</title></head><body><h1>Thank you</h1><div class=\"order-number\">Order No. %d</div><p>Proceed to payment processing.</p></body></html>", n)
 		return Response{Status: 200, Body: body, Cookies: s.cookies()}
-	case strings.Contains(u.Path, "cart") || strings.HasPrefix(u.Path, "/checkout"):
+	case strings.Contains(path, "cart") || strings.HasPrefix(path, "/checkout"):
 		s.checkoutOnce.Do(func() {
 			s.checkoutBody = fmt.Sprintf(
 				"<html><head><title>Checkout - %s</title></head><body><h1>Shopping Cart</h1><a href=\"/order/new\">Place order</a><div class=\"processor\" data-bin=\"%s\">%s</div></body></html>",
@@ -138,7 +142,7 @@ func (s *StoreSite) Serve(req Request) Response {
 		return Response{Status: 200, Body: s.checkoutBody, Cookies: s.cookies()}
 	default:
 		return Response{Status: 200,
-			Body:    s.Gen.StorePage(dep, u.Hostname()),
+			Body:    s.Gen.StorePage(dep, host),
 			Cookies: s.cookies(),
 		}
 	}
@@ -184,17 +188,26 @@ func (s *BenignSite) Serve(Request) Response {
 }
 
 // SeizureNoticeSite replaces a seized domain: every path serves the serving
-// notice with the court case identifier and co-seized domains.
+// notice with the court case identifier and co-seized domains. One site
+// serves all of a case's domains, and the notice depends only on the case,
+// so it is rendered once, on the first Serve; the fields must not change
+// after that.
 type SeizureNoticeSite struct {
 	Firm    string
 	CaseID  string
 	Domains []string
 	Gen     *htmlgen.Generator
+
+	bodyOnce sync.Once
+	body     string
 }
 
 // Serve implements Site.
 func (s *SeizureNoticeSite) Serve(Request) Response {
-	return Response{Status: 200, Body: s.Gen.SeizureNotice(s.Firm, s.CaseID, s.Domains)}
+	s.bodyOnce.Do(func() {
+		s.body = s.Gen.SeizureNotice(s.Firm, s.CaseID, s.Domains)
+	})
+	return Response{Status: 200, Body: s.body}
 }
 
 // StaticSite serves one fixed body for every path (used for C&C hosts and

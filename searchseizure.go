@@ -169,6 +169,9 @@ type Study struct {
 	log       *log.Logger
 	ckpt      *checkpoint.Manager
 	recovered bool
+	// restoreErr is the failed restore's error: the world may be half
+	// restored, so every later RunContext and Recover returns it.
+	restoreErr error
 }
 
 // New builds the world for a configuration. Building trains the campaign
@@ -260,8 +263,10 @@ func (s *Study) RunContext(ctx context.Context) (*core.Dataset, error) {
 // Recover performs checkpoint auto-recovery now instead of lazily inside
 // the first RunContext: the newest good snapshot (if any) is restored and
 // the save cadence is hooked into the day pipeline. Idempotent, and a
-// no-op without WithCheckpoint. Servers use it to declare readiness only
-// after recovery has completed.
+// no-op without WithCheckpoint. A failed restore leaves the world half
+// restored, so its error comes back from every later Recover and
+// RunContext, and the study never runs. Servers use it to declare
+// readiness only after recovery has completed.
 func (s *Study) Recover() error { return s.attachCheckpoints() }
 
 // attachCheckpoints recovers from the newest good snapshot (once, before
@@ -269,7 +274,7 @@ func (s *Study) Recover() error { return s.attachCheckpoints() }
 // A checkpoint-less study is a no-op here.
 func (s *Study) attachCheckpoints() error {
 	if s.ckpt == nil || s.recovered {
-		return nil
+		return s.restoreErr
 	}
 	s.recovered = true
 	w, mgr := s.World, s.ckpt
@@ -286,7 +291,8 @@ func (s *Study) attachCheckpoints() error {
 		}
 	default:
 		if rerr := w.RestoreSnapshot(snap); rerr != nil {
-			return fmt.Errorf("searchseizure: checkpoint restore: %w", rerr)
+			s.restoreErr = fmt.Errorf("searchseizure: checkpoint restore: %w", rerr)
+			return s.restoreErr
 		}
 		if s.log != nil {
 			s.log.Printf("searchseizure: resumed from checkpoint at day %d/%d",
