@@ -8,14 +8,11 @@ package searchseizure
 // crawl days, all interventions) at test scale.
 
 import (
-	"runtime"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/faults"
-	"repro/internal/telemetry"
 )
 
 var (
@@ -105,85 +102,5 @@ func BenchmarkFullStudy(b *testing.B) {
 		if d.TotalPSRs() == 0 {
 			b.Fatal("study produced no PSRs")
 		}
-	}
-}
-
-// BenchmarkSimulatedDay measures one day of the world advancing under full
-// observation (the study's steady-state unit of work) on a single observe
-// worker — the serial baseline for BenchmarkSimulatedDayParallel.
-func BenchmarkSimulatedDay(b *testing.B) {
-	cfg := ablationConfig()
-	cfg.ObserveWorkers = 1
-	s := mustNew(b, cfg)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.World.RunDay(0)
-	}
-}
-
-// BenchmarkSimulatedDayParallel runs the same day with the observe phase
-// fanned out across every core. The serial/parallel ratio is the day
-// pipeline's speedup; on a single-core machine the two should be equal
-// (the one-worker path runs inline, no goroutines).
-func BenchmarkSimulatedDayParallel(b *testing.B) {
-	cfg := ablationConfig()
-	cfg.ObserveWorkers = runtime.NumCPU()
-	cfg.CrawlWorkers = runtime.NumCPU()
-	s := mustNew(b, cfg)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.World.RunDay(0)
-	}
-}
-
-// BenchmarkSimulatedDayTelemetry is BenchmarkSimulatedDayParallel with a
-// live telemetry registry attached: the delta between the two is the whole
-// cost of the observability layer on the hot path (atomic counter bumps,
-// span clock reads, pool utilisation accounting). The contract — asserted
-// in CI via cmd/benchjson — is that it stays under 2%.
-func BenchmarkSimulatedDayTelemetry(b *testing.B) {
-	cfg := ablationConfig()
-	cfg.ObserveWorkers = runtime.NumCPU()
-	cfg.CrawlWorkers = runtime.NumCPU()
-	cfg.Telemetry = telemetry.New()
-	s := mustNew(b, cfg)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.World.RunDay(0)
-	}
-}
-
-// BenchmarkSimulatedDayFaultsOff is BenchmarkSimulatedDayParallel with the
-// fault-injection layer explicitly disabled (the zero faults.Config): the
-// delta against BenchmarkSimulatedDayParallel is the cost of having the
-// fault hook in the codebase, which must be nil — the disabled path builds
-// no plan, wraps no fetcher, and allocates nothing per request.
-func BenchmarkSimulatedDayFaultsOff(b *testing.B) {
-	cfg := ablationConfig()
-	cfg.ObserveWorkers = runtime.NumCPU()
-	cfg.CrawlWorkers = runtime.NumCPU()
-	cfg.Faults = faults.Config{}
-	s := mustNew(b, cfg)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.World.RunDay(0)
-	}
-}
-
-// BenchmarkSimulatedDayFaultsModerate is the contrast: the same day under
-// the moderate injection profile, paying for the per-request hash rolls,
-// retries and breaker accounting. It bounds what a robustness study costs.
-func BenchmarkSimulatedDayFaultsModerate(b *testing.B) {
-	cfg := ablationConfig()
-	cfg.ObserveWorkers = runtime.NumCPU()
-	cfg.CrawlWorkers = runtime.NumCPU()
-	cfg.Faults, _ = faults.Profile("moderate")
-	s := mustNew(b, cfg)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.World.RunDay(0)
 	}
 }

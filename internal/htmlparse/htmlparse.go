@@ -22,7 +22,7 @@ import (
 // TokenType identifies the kind of a lexical token.
 type TokenType int
 
-// Token kinds produced by Tokenize.
+// Token kinds produced by EachToken.
 const (
 	TextToken TokenType = iota
 	StartTagToken
@@ -69,30 +69,16 @@ var rawTextElements = map[string]bool{"script": true, "style": true}
 // so the tokenizer loop never concatenates strings per tag.
 var rawTextClosers = map[string]string{"script": "</script", "style": "</style"}
 
-// Tokenize lexes src into a token stream. It never fails; unparseable
-// fragments are emitted as text. The returned tokens own their attribute
-// slices and may be retained.
-func Tokenize(src string) []Token {
-	var toks []Token
-	EachToken(src, func(tok Token) bool {
-		if len(tok.Attrs) > 0 {
-			tok.Attrs = append([]Attr(nil), tok.Attrs...)
-		}
-		toks = append(toks, tok)
-		return true
-	})
-	return toks
-}
-
 // attrBufs recycles EachToken's attribute buffer across calls, so lexing
 // a document allocates nothing once the pool is warm.
 var attrBufs = sync.Pool{New: func() any { return new([]Attr) }}
 
 // EachToken lexes src, invoking emit for every token in order; returning
-// false stops the lex. Unlike Tokenize it allocates no token slice, and a
-// start tag's Attrs slice is only valid during its callback (the buffer is
-// reused between tags and calls) — the hot paths that extract features
-// from every crawled page use this to avoid per-document garbage.
+// false stops the lex. It allocates no token slice, and a start tag's Attrs
+// slice is only valid during its callback (the buffer is reused between
+// tags and calls): a caller that keeps a tag's attributes copies them. The
+// hot paths that extract features from every crawled page use this to
+// avoid per-document garbage.
 func EachToken(src string, emit func(Token) bool) {
 	attrBuf := attrBufs.Get().(*[]Attr)
 	defer func() {
@@ -340,21 +326,20 @@ func (n *Node) Attr(name string) (string, bool) {
 func Parse(src string) *Node {
 	root := &Node{Tag: "#document"}
 	cur := root
-	for _, tok := range Tokenize(src) {
+	EachToken(src, func(tok Token) bool {
 		switch tok.Type {
 		case TextToken:
-			if strings.TrimSpace(tok.Data) == "" {
-				continue
+			if strings.TrimSpace(tok.Data) != "" {
+				cur.Children = append(cur.Children, &Node{Text: tok.Data, Parent: cur})
 			}
-			cur.Children = append(cur.Children, &Node{Text: tok.Data, Parent: cur})
 		case StartTagToken:
-			n := &Node{Tag: tok.Data, Attrs: tok.Attrs, Parent: cur}
+			n := &Node{Tag: tok.Data, Attrs: ownAttrs(tok.Attrs), Parent: cur}
 			cur.Children = append(cur.Children, n)
 			if !voidElements[tok.Data] {
 				cur = n
 			}
 		case SelfClosingToken:
-			cur.Children = append(cur.Children, &Node{Tag: tok.Data, Attrs: tok.Attrs, Parent: cur})
+			cur.Children = append(cur.Children, &Node{Tag: tok.Data, Attrs: ownAttrs(tok.Attrs), Parent: cur})
 		case EndTagToken:
 			// Close the nearest matching open element, if any.
 			for p := cur; p != nil && p != root; p = p.Parent {
@@ -364,8 +349,17 @@ func Parse(src string) *Node {
 				}
 			}
 		}
-	}
+		return true
+	})
 	return root
+}
+
+// ownAttrs copies a tag's attributes out of EachToken's reused buffer.
+func ownAttrs(attrs []Attr) []Attr {
+	if len(attrs) == 0 {
+		return nil
+	}
+	return append([]Attr(nil), attrs...)
 }
 
 // Visit walks the tree in document order, calling fn for every node

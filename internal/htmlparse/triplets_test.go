@@ -11,7 +11,7 @@ import (
 // match it feature-for-feature on every document.
 func referenceTriplets(src string) []string {
 	set := make(map[string]struct{})
-	for _, tok := range Tokenize(src) {
+	for _, tok := range tokens(src) {
 		if tok.Type != StartTagToken && tok.Type != SelfClosingToken {
 			continue
 		}
@@ -78,6 +78,23 @@ func TestTripletsMatchesReference(t *testing.T) {
 				t.Fatalf("doc %d feature %d: got %q want %q", di, i, got[i], want[i])
 			}
 		}
+	}
+}
+
+// TestTripletsAllocs is the alloc gate for classifier feature extraction:
+// on a page of 120 identical product cards, only the returned slice and
+// the first-seen feature strings may allocate, so the count stays flat
+// however many cards repeat them. Not checked under -race, whose sync.Pool
+// drops items.
+func TestTripletsAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not pinnable under -race")
+	}
+	doc := strings.Repeat(`<div class="product"><a href="/php?p=cheap">Buy</a>`+
+		`<img src="http://img.example.com/p.png"></div>`, 120)
+	Triplets(doc) // warm the scratch pool
+	if allocs := testing.AllocsPerRun(100, func() { Triplets(doc) }); allocs > 12 {
+		t.Errorf("Triplets allocates %v times per 120-card document, want <= 12", allocs)
 	}
 }
 

@@ -98,8 +98,8 @@ func DefaultScope() *Scope {
 			// Lock discipline targets the service plane and the sharded
 			// state both studysvc and the day pipeline lean on.
 			LockDiscipline.Name: {"repro/internal/studysvc", "repro/internal/shard"},
-			// The zero-alloc packages the bench ratchet pins at 0 allocs/op
-			// (plus searchsim, whose per-day serp walk dominates the day).
+			// The zero-alloc packages the AllocsPerRun gates pin (plus
+			// searchsim, whose per-day serp walk dominates the day).
 			HotAlloc.Name: {
 				"repro/internal/htmlgen",
 				"repro/internal/htmlparse",
@@ -176,8 +176,8 @@ func DefaultScope() *Scope {
 			HotAlloc.Name: {
 				// Cloaking-script synthesis is memoised behind
 				// Generator.cache — each (id, target) pair renders once per
-				// run; the per-page path replays cached bytes and the bench
-				// ratchet pins it at 0 allocs/op.
+				// run; the per-page path replays cached bytes, which
+				// htmlgen's AllocsPerRun gate pins at 0 allocs/op.
 				"repro/internal/htmlgen:cloak.go": true,
 				// The snapshot codec runs at day boundaries only (export on
 				// checkpoint, restore on resume), never inside the day loop.

@@ -8,16 +8,17 @@ import (
 	"repro/internal/lint/analysis"
 )
 
-// HotAlloc is the static complement to the bench ratchet: it bans the
+// HotAlloc is the static complement to the AllocsPerRun gates: it bans the
 // allocation patterns that the zero-alloc packages already paid to remove.
 var HotAlloc = &analysis.Analyzer{
 	Name: "hotalloc",
 	Doc: `no fmt.Sprintf, loop string concat, or unpooled growth in zero-alloc packages
 
 The day pipeline's throughput rests on htmlgen/htmlparse/shard/searchsim
-staying allocation-free on the hot path (bench.baseline.json pins
-doorway/store page generation at 0 allocs/op). The bench ratchet catches
-regressions after the fact; this analyzer catches them at review time.
+staying allocation-free on the hot path (testing.AllocsPerRun gates pin
+steady-state page generation, shard lookups and Triplets, and CI's
+work-gates job runs them outside -race). The gates catch regressions once
+the code runs; this analyzer catches them at review time.
 Three rules inside the scoped packages: (1) fmt.Sprintf/Sprint/Sprintln
 anywhere — each call allocates its result and boxes every operand;
 (2) string concatenation (+ / +=) inside a loop body — quadratic

@@ -146,7 +146,7 @@ func (m *Manager) zzBroadcast(ch chan<- string, msg string) {
 
 // TestInjectedSprintfInHtmlgenIsCaught proves hotalloc guards the
 // zero-alloc property statically: one fmt.Sprintf added to htmlgen — the
-// regression the bench ratchet only catches after the numbers move — is a
+// regression the AllocsPerRun gates only catch once the code runs — is a
 // finding, and the old suite passes it clean.
 func TestInjectedSprintfInHtmlgenIsCaught(t *testing.T) {
 	loader, err := load.NewModuleLoader(moduleRoot(t))

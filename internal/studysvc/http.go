@@ -67,7 +67,7 @@ func writeError(w http.ResponseWriter, status int, code, msg string, fields []se
 
 // instrument wraps a route with the service registry's per-route counter,
 // latency histogram and the shared in-flight gauge. Metric names follow
-// api_req_<route>_total / api_req_<route>_us so the loadtest and benchjson
+// api_req_<route>_total / api_req_<route>_us so the loadtest and perfbench
 // can find them without new machinery.
 func instrument(reg *telemetry.Registry, route string, h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
