@@ -2,8 +2,9 @@ package searchseizure
 
 // The benchmark harness regenerates every table and figure of the paper.
 // Each benchmark reports the experiment's computation time over a shared
-// mid-size study (BenchConfig), and — run with -v or inspected via
-// bench_output.txt — logs the rendered rows/series the paper reports.
+// mid-size study (BenchConfig), and — run with -v — logs the rendered
+// rows/series the paper reports. EXPERIMENTS.md compares them with the
+// paper; the end-to-end timings are perfbench's (bash perfbench/run.sh).
 // BenchmarkFullStudy measures an entire end-to-end run (world build, 245+
 // crawl days, all interventions) at test scale.
 
@@ -29,7 +30,7 @@ func benchDataset(b *testing.B) *core.Dataset {
 }
 
 // benchExperiment times one experiment's computation and logs its output
-// once so bench_output.txt doubles as the reproduced results.
+// once, so a -v run doubles as the reproduced results.
 func benchExperiment(b *testing.B, id string) {
 	d := benchDataset(b)
 	e, ok := experiments.ByID(id)

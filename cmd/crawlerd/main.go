@@ -364,15 +364,16 @@ func main() {
 	}
 	det := crawler.NewDetector(fetch)
 	c := crawler.New(det)
+	c.Domains = w.Engine.Domains()
 	c.Instrument(reg)
 	// One job per unique result domain, in vertical and slot order.
 	var jobs []crawler.DomainJob
-	seen := make(map[string]bool)
+	seen := make([]bool, c.Domains.Len())
 	for _, v := range brands.All() {
 		w.Engine.EachSlot(v, func(_, _ int, s *searchsim.Slot) {
-			if len(jobs) < *maxDom && !seen[s.Domain] {
-				seen[s.Domain] = true
-				jobs = append(jobs, crawler.DomainJob{Domain: s.Domain, Checks: []crawler.DomainCheck{{URL: s.URL}}})
+			if len(jobs) < *maxDom && !seen[s.ID] {
+				seen[s.ID] = true
+				jobs = append(jobs, crawler.DomainJob{ID: s.ID, Domain: s.Domain, Checks: []crawler.DomainCheck{{URL: s.URL}}})
 			}
 		})
 	}

@@ -83,12 +83,17 @@ func TestSigtermDrainsInflightRequests(t *testing.T) {
 	<-ctx.Done() // the signal reached the drain context
 
 	// The listener must refuse new work while the old request drains.
+	// A probe that lands before serve closes the listener is closed at
+	// once: Shutdown counts a connection that never sent a request as idle
+	// only after 5 s, the whole drain timeout.
 	refused := false
 	for i := 0; i < 100; i++ {
-		if _, err := net.DialTimeout("tcp", ln.Addr().String(), 100*time.Millisecond); err != nil {
+		conn, err := net.DialTimeout("tcp", ln.Addr().String(), 100*time.Millisecond)
+		if err != nil {
 			refused = true
 			break
 		}
+		conn.Close()
 		time.Sleep(10 * time.Millisecond)
 	}
 	if !refused {

@@ -211,15 +211,18 @@ type dayObservation struct {
 	vertical brands.Vertical
 	vo       *VerticalObs
 
-	// The day's unique doorway-candidate domains in first-slot order, with
-	// their sample URLs; index maps each domain to its position. The check
-	// step writes each domain's verdict into verdicts at that position,
-	// and job holds the position's job in the day's crawler job list.
-	index    map[string]int32
-	doms     []string
+	// slot holds, for each of the vertical's slots in EachSlot order, -1
+	// if its term was rate-limited away; otherwise collect stores the
+	// slot's domain ID and dayJobs replaces it with the domain's position
+	// in the vertical's list of unique domains. That list, in first-slot
+	// order, is urls (each domain's sample URL, from slotURL) and job (its
+	// job in the day's crawler job list); the check step writes each
+	// domain's verdict into verdicts at its position.
+	slot     []int32
+	slotURL  []string
 	urls     []string
-	verdicts []crawler.Verdict
 	job      []int32
+	verdicts []crawler.Verdict
 
 	// per-vertical tallies (committed to vo directly by the observe phase —
 	// each VerticalObs is touched by exactly one goroutine).
@@ -263,7 +266,6 @@ func (w *World) dayObs(n int) []*dayObservation {
 		w.obs = make([]*dayObservation, n)
 		for i := range w.obs {
 			w.obs[i] = &dayObservation{
-				index:      make(map[string]int32, 256),
 				attributed: make(map[string]int, 16),
 				doorNew:    make(map[string]bool),
 				storeNew:   make(map[string]bool),
@@ -278,8 +280,7 @@ func (w *World) dayObs(n int) []*dayObservation {
 
 // reset clears a record for a new day, keeping allocated capacity.
 func (o *dayObservation) reset() {
-	clear(o.index)
-	o.doms, o.urls = o.doms[:0], o.urls[:0]
+	o.slot, o.slotURL = o.slot[:0], o.slotURL[:0]
 	o.slots, o.top10Slots = 0, 0
 	o.top100Poisoned, o.top10Poisoned = 0, 0
 	o.penalized = 0
@@ -300,9 +301,9 @@ func (o *dayObservation) limited(term int) bool {
 }
 
 // collectVertical is the observe phase's collect step for one vertical: it
-// lists the domains of the vertical's observable slots in first-slot
-// order, with each domain's first URL as its sample. It may run
-// concurrently with other verticals' steps and writes only o.
+// records each slot's domain ID and URL, or -1 for a slot whose term was
+// rate-limited away. It may run concurrently with other verticals' steps
+// and writes only o.
 func (w *World) collectVertical(o *dayObservation, v brands.Vertical, d simclock.Day) {
 	o.reset()
 	o.vertical = v
@@ -324,44 +325,62 @@ func (w *World) collectVertical(o *dayObservation, v brands.Vertical, d simclock
 	}
 
 	w.Engine.EachSlot(v, func(term, _ int, s *searchsim.Slot) {
+		id, url := s.ID, s.URL
 		if o.limited(term) {
-			return
+			id, url = -1, ""
 		}
-		if _, dup := o.index[s.Domain]; !dup {
-			o.index[s.Domain] = int32(len(o.doms))
-			o.doms = append(o.doms, s.Domain)
-			o.urls = append(o.urls, s.URL)
-		}
+		o.slot = append(o.slot, id)
+		o.slotURL = append(o.slotURL, url)
 	})
 }
 
-// dayJobs builds the check step's crawler jobs from the collected domains:
-// one job per domain of the day's union, in vertical order and then
-// first-slot order, which checks the domain once for each vertical that
-// saw it, in vertical order, with that vertical's sample URL and into that
-// vertical's verdict slot. The order is fixed by construction, so no sort
-// is needed. Every buffer is the world's and is re-sliced each day.
+// domainMark is dayJobs' scratch for one domain ID: stamp names the last
+// vertical walk that saw the domain, pos its position in that vertical's
+// list and job its job in the job list of that walk's day.
+type domainMark struct {
+	stamp    uint32
+	pos, job int32
+}
+
+// dayJobs lists each vertical's unique domains from its collected slots,
+// in first-slot order with each domain's first URL as its sample, and
+// builds the check step's crawler jobs from them: one job per domain of
+// the day's union, in vertical order and then first-slot order, which
+// checks the domain once for each vertical that saw it, in vertical order,
+// with that vertical's sample URL and into that vertical's verdict slot.
+// The order is fixed by construction, so no sort is needed. Domains are
+// deduplicated by ID through w.marks: each vertical walk takes a new
+// stamp, so a mark older than the walk's is a domain the vertical has not
+// listed yet, and one older than the day's first walk a domain with no job
+// yet. Nothing is cleared; every buffer is re-sliced each day.
 func (w *World) dayJobs(obs []*dayObservation) []crawler.DomainJob {
-	if w.union == nil {
-		w.union = make(map[string]int32)
-	}
-	clear(w.union)
+	names := w.Engine.Domains().Names()
+	w.marks.Grow(len(names))
+	before := w.stamp // every walk of today stamps above it
 	w.jobs, w.jobNext = w.jobs[:0], w.jobNext[:0]
 	total := 0
 	for _, o := range obs {
-		o.job = o.job[:0]
-		for _, dom := range o.doms {
-			j, ok := w.union[dom]
-			if !ok {
-				j = int32(len(w.jobs))
-				w.union[dom] = j
-				w.jobs = append(w.jobs, crawler.DomainJob{Domain: dom})
-				w.jobNext = append(w.jobNext, 0)
+		w.stamp++
+		o.urls, o.job = o.urls[:0], o.job[:0]
+		for k, id := range o.slot {
+			if id < 0 {
+				continue
 			}
-			o.job = append(o.job, j)
-			w.jobNext[j]++
+			m := w.marks.At(id)
+			if m.stamp != w.stamp {
+				if m.stamp <= before {
+					m.job = int32(len(w.jobs))
+					w.jobs = append(w.jobs, crawler.DomainJob{ID: id, Domain: names[id]})
+					w.jobNext = append(w.jobNext, 0)
+				}
+				m.stamp, m.pos = w.stamp, int32(len(o.job))
+				o.urls = append(o.urls, o.slotURL[k])
+				o.job = append(o.job, m.job)
+				w.jobNext[m.job]++
+			}
+			o.slot[k] = m.pos
 		}
-		total += len(o.doms)
+		total += len(o.job)
 	}
 	// Lay each job's checks out contiguously; jobNext turns from a count
 	// into the job's next free check.
@@ -374,7 +393,7 @@ func (w *World) dayJobs(obs []*dayObservation) []crawler.DomainJob {
 		off += n
 	}
 	for _, o := range obs {
-		o.verdicts = slices.Grow(o.verdicts[:0], len(o.doms))[:len(o.doms)]
+		o.verdicts = slices.Grow(o.verdicts[:0], len(o.job))[:len(o.job)]
 		for i, j := range o.job {
 			w.checks[w.jobNext[j]] = crawler.DomainCheck{URL: o.urls[i], Out: &o.verdicts[i]}
 			w.jobNext[j]++
@@ -384,8 +403,9 @@ func (w *World) dayJobs(obs []*dayObservation) []crawler.DomainJob {
 }
 
 // attributeVertical is the observe phase's attribute step for one
-// vertical: it walks the SERPs again and records the observations into o,
-// reading each slot's verdict by its domain's index. It may run
+// vertical: it walks the SERPs again, in collect's order, and records the
+// observations into o, reading each slot's verdict at its domain's
+// position. It may run
 // concurrently with other verticals' steps and must not mutate state
 // shared across verticals. Domain resolution goes through the vertical's
 // private snapshot (see snapshot.go) rather than the global cross-vertical
@@ -398,12 +418,15 @@ func (w *World) attributeVertical(o *dayObservation, d simclock.Day, inStudy boo
 	defer span.End()
 	snap := w.vertSnaps[v]
 
-	w.Engine.EachSlot(v, func(term, rank int, s *searchsim.Slot) {
-		if o.limited(term) {
+	next := 0
+	w.Engine.EachSlot(v, func(_, rank int, s *searchsim.Slot) {
+		pos := o.slot[next]
+		next++
+		if pos < 0 {
 			o.lostSlots++
 			return
 		}
-		ver := &o.verdicts[o.index[s.Domain]]
+		ver := &o.verdicts[pos]
 		if ver.Unknown && !ver.Cloaked {
 			// Every fetch for this domain failed after retries (or its
 			// breaker is open): the slot was not observed. It must not be

@@ -10,6 +10,7 @@ import (
 	"repro/internal/classify"
 	"repro/internal/cnc"
 	"repro/internal/crawler"
+	"repro/internal/domid"
 	"repro/internal/faults"
 	"repro/internal/htmlgen"
 	"repro/internal/intervention"
@@ -93,13 +94,14 @@ type World struct {
 	targetsOnce sync.Once         // guards the lazy build (see purchaseTargets)
 
 	// obs and shards are the day pipeline's reusable per-vertical buffers
-	// (see RunDay and applyTraffic). union, jobs, checks and jobNext are
-	// the check step's day-scoped buffers (see dayJobs): the day's domains
-	// across verticals by job index, one crawler job per domain, and the
-	// jobs' checks.
+	// (see RunDay and applyTraffic). marks, stamp, jobs, checks and
+	// jobNext are the check step's buffers (see dayJobs): per-domain
+	// dedup marks indexed by domain ID, the last walk's stamp, one crawler
+	// job per domain of the day, and the jobs' checks.
 	obs     []*dayObservation
 	shards  []*trafficShard
-	union   map[string]int32
+	marks   domid.Column[domainMark]
+	stamp   uint32
 	jobs    []crawler.DomainJob
 	checks  []crawler.DomainCheck
 	jobNext []int32
@@ -282,6 +284,7 @@ func NewWorld(cfg Config) *World {
 	w.Crawler = crawler.New(det)
 	w.Crawler.RecheckDays = cfg.CrawlRecheckDays
 	w.Crawler.Workers = cfg.CrawlWorkers
+	w.Crawler.Domains = w.Engine.Domains()
 	w.Crawler.Instrument(w.tel)
 	w.Sampler = purchase.NewSampler(w.Web)
 

@@ -1,33 +1,13 @@
 package crawler
 
 import (
-	"sync"
 	"sync/atomic"
 
+	"repro/internal/domid"
 	"repro/internal/parallel"
-	"repro/internal/shard"
 	"repro/internal/simclock"
 	"repro/internal/telemetry"
 )
-
-// crawlShards is the number of verdict-cache shards. Domain checks are the
-// observe phase's dominant shared-state traffic; sharding the cache by
-// domain lets the crawl pool's workers, which check different domains,
-// publish verdicts without queueing on one global mutex.
-const crawlShards = 64 // power of two
-
-// crawlShard is one shard of the verdict cache: the verdicts of the domains
-// hashing here, under one lock.
-type crawlShard struct {
-	mu    sync.Mutex
-	cache map[string]Verdict
-	// published lists the domains this shard's cache wrote since the last
-	// export, new or re-verified, kept only once track is set (by the
-	// first export or a restore), so a study that never exports records
-	// nothing.
-	published []string
-	track     bool
-}
 
 // Crawler wraps a Detector with the §4.1.2 workload reductions: domains
 // previously seen and not detected as poisoned are not re-crawled, and
@@ -44,14 +24,22 @@ type Crawler struct {
 	// Workers bounds concurrent fetch chains; the pool is always clamped
 	// to the number of jobs, and <= 0 selects GOMAXPROCS.
 	Workers int
+	// Domains names the IDs DomainJobs carry. A study shares the search
+	// engine's table, so a job takes its ID from the result slot.
+	Domains *domid.Table
 
-	shards [crawlShards]crawlShard
+	// cache is the verdict cache, indexed by domain ID. It grows only in
+	// serial code (before CheckDomains' fan-out, in CheckDomain and in
+	// RestoreCache). During the fan-out each worker writes only the
+	// entries of its own jobs' domains, and no domain is in two jobs, so
+	// the writes are disjoint and take no lock.
+	cache domid.Column[cacheEntry]
+	// order is the last export's cached IDs in domain order (each entry
+	// marked listed), the base the next export merges new IDs into;
+	// spare is the other half of its double buffer.
+	order, spare []int32
 	// fetches counts detector invocations (for workload accounting).
 	fetches atomic.Int64
-	// exported is the last ExportCache's entries (nil until one), shared
-	// with that snapshot and never written in place: with the shards'
-	// published lists, every cached verdict.
-	exported []CachedVerdict
 
 	// Telemetry handles (nil until Instrument; nil handles are no-ops).
 	cDetector *telemetry.Counter
@@ -59,8 +47,11 @@ type Crawler struct {
 	poolObs   parallel.PoolObserver
 }
 
-func (c *Crawler) shard(domain string) *crawlShard {
-	return &c.shards[shard.Hash(domain)&(crawlShards-1)]
+// cacheEntry is one domain's slot in the verdict cache.
+type cacheEntry struct {
+	v      Verdict
+	cached bool // v is the domain's cached verdict
+	listed bool // the domain's ID is in order
 }
 
 // Instrument registers the crawler's runtime metrics on reg (nil reg is a
@@ -75,29 +66,35 @@ func (c *Crawler) Instrument(reg *telemetry.Registry) {
 	c.poolObs = reg.Pool("crawl")
 }
 
-// New returns a Crawler over the given detector.
+// New returns a Crawler over the given detector, with a domain table of
+// its own.
 func New(det *Detector) *Crawler {
-	return &Crawler{Det: det, RecheckDays: 4, Workers: 8}
+	return &Crawler{Det: det, RecheckDays: 4, Workers: 8, Domains: new(domid.Table)}
 }
 
 // CheckDomain returns the verdict for a domain, fetching only when the
 // cache does not already answer: clean domains are never re-fetched,
-// poisoned domains are re-verified every RecheckDays. Safe for concurrent
-// use, but two concurrent checks of one domain each run the detector and
-// the later publish wins; CheckDomains gives each domain to one worker.
+// poisoned domains are re-verified every RecheckDays. It interns the
+// domain in Domains, so unlike CheckDomains it is not safe for concurrent
+// use.
 func (c *Crawler) CheckDomain(domain, sampleURL string, day simclock.Day) Verdict {
-	sh := c.shard(domain)
-	sh.mu.Lock()
-	v, seen := sh.cache[domain]
-	sh.mu.Unlock()
-	if seen && (!v.Cloaked || int(day-v.CheckedDay) < c.RecheckDays) {
+	id := c.Domains.Intern(domain)
+	c.cache.Grow(c.Domains.Len())
+	return c.check(id, sampleURL, day)
+}
+
+// check is CheckDomain for a domain ID the cache has grown to. It writes
+// only the ID's own entry.
+func (c *Crawler) check(id int32, sampleURL string, day simclock.Day) Verdict {
+	e := c.cache.At(id)
+	if e.cached && (!e.v.Cloaked || int(day-e.v.CheckedDay) < c.RecheckDays) {
 		c.cCacheHit.Inc()
-		return v
+		return e.v
 	}
 	nv := c.Det.CheckURL(sampleURL, day)
 	c.cDetector.Inc()
 	c.fetches.Add(1)
-	out := mergeVerdict(v, seen, nv, day)
+	out := mergeVerdict(e.v, e.cached, nv, day)
 	// Unknown checks (transient fetch failures) are not cached: the next
 	// query retries them rather than freezing a "clean" verdict. (A stale
 	// cloaked verdict that absorbed a failed recheck is still cached — the
@@ -105,15 +102,7 @@ func (c *Crawler) CheckDomain(domain, sampleURL string, day simclock.Day) Verdic
 	if out.Unknown && !out.Cloaked {
 		return out
 	}
-	sh.mu.Lock()
-	if sh.cache == nil {
-		sh.cache = make(map[string]Verdict)
-	}
-	if sh.track {
-		sh.published = append(sh.published, domain)
-	}
-	sh.cache[domain] = out
-	sh.mu.Unlock()
+	e.v, e.cached = out, true
 	return out
 }
 
@@ -137,20 +126,24 @@ type DomainCheck struct {
 }
 
 // DomainJob is one domain's lookups for a day, run in order by one worker.
+// ID is the domain's ID in the crawler's Domains table, Domain its name.
 type DomainJob struct {
+	ID     int32
 	Domain string
 	Checks []DomainCheck
 }
 
 // CheckDomains runs a day's jobs on the shared worker pool, clamped to the
-// job count. Each job's checks run in order on one worker, so when no
-// domain appears in two jobs, every domain sees the same sequence of
-// lookups, and the same fetches, at any worker count.
+// job count. No domain may appear in two jobs: each job's checks run in
+// order on one worker, so every domain sees the same sequence of lookups,
+// and the same fetches, at any worker count, and the workers write
+// disjoint cache entries.
 func (c *Crawler) CheckDomains(jobs []DomainJob, day simclock.Day) {
+	c.cache.Grow(c.Domains.Len())
 	parallel.ForEachObserved(c.Workers, len(jobs), func(i int) {
 		j := &jobs[i]
 		for _, ck := range j.Checks {
-			*ck.Out = c.CheckDomain(j.Domain, ck.URL, day)
+			*ck.Out = c.check(j.ID, ck.URL, day)
 		}
 	}, c.poolObs)
 }
@@ -162,9 +155,9 @@ func (c *Crawler) Fetches() int {
 
 // Cached returns the cached verdict for a domain, if any.
 func (c *Crawler) Cached(domain string) (Verdict, bool) {
-	sh := c.shard(domain)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	v, ok := sh.cache[domain]
-	return v, ok
+	id, ok := c.Domains.Lookup(domain)
+	if !ok || int(id) >= c.cache.Len() || !c.cache.At(id).cached {
+		return Verdict{}, false
+	}
+	return c.cache.At(id).v, true
 }

@@ -340,7 +340,7 @@ func checkAll(c *Crawler, urls map[string]string, day simclock.Day) map[string]V
 	out := make([]Verdict, len(doms))
 	jobs := make([]DomainJob, len(doms))
 	for i, dom := range doms {
-		jobs[i] = DomainJob{Domain: dom, Checks: []DomainCheck{{URL: urls[dom], Out: &out[i]}}}
+		jobs[i] = DomainJob{ID: c.Domains.Intern(dom), Domain: dom, Checks: []DomainCheck{{URL: urls[dom], Out: &out[i]}}}
 	}
 	c.CheckDomains(jobs, day)
 	verdicts := make(map[string]Verdict, len(doms))

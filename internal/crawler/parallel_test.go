@@ -96,8 +96,8 @@ func TestCheckDomainsRunsJobChecksInOrder(t *testing.T) {
 
 	out := make([]Verdict, 3)
 	jobs := []DomainJob{
-		{Domain: dom, Checks: []DomainCheck{{URL: url, Out: &out[0]}, {URL: root, Out: &out[1]}}},
-		{Domain: "benign-reviews.org", Checks: []DomainCheck{{URL: "http://benign-reviews.org/", Out: &out[2]}}},
+		{ID: c.Domains.Intern(dom), Domain: dom, Checks: []DomainCheck{{URL: url, Out: &out[0]}, {URL: root, Out: &out[1]}}},
+		{ID: c.Domains.Intern("benign-reviews.org"), Domain: "benign-reviews.org", Checks: []DomainCheck{{URL: "http://benign-reviews.org/", Out: &out[2]}}},
 	}
 	c.CheckDomains(jobs, 0)
 	if got := c.Fetches(); got != 2 {

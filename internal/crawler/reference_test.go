@@ -12,23 +12,16 @@ import (
 	"repro/internal/simweb"
 )
 
-// referenceExportCache is ExportCache as it was before it kept its order
-// across exports: sort each shard's domains, then sort the concatenation
-// again, since shards partition by hash. ExportCache must equal it.
+// referenceExportCache is ExportCache without its kept order: it gathers
+// every cached (domain, verdict) pair and sorts them all by domain.
+// ExportCache must equal it.
 func referenceExportCache(c *Crawler) CrawlerState {
 	st := CrawlerState{Fetches: c.fetches.Load()}
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		doms := make([]string, 0, len(sh.cache))
-		for dom := range sh.cache {
-			doms = append(doms, dom)
+	names := c.Domains.Names()
+	for id := range int32(c.cache.Len()) {
+		if e := c.cache.At(id); e.cached {
+			st.Entries = append(st.Entries, CachedVerdict{Domain: names[id], Verdict: e.v})
 		}
-		sort.Strings(doms)
-		for _, dom := range doms {
-			st.Entries = append(st.Entries, CachedVerdict{Domain: dom, Verdict: sh.cache[dom]})
-		}
-		sh.mu.Unlock()
 	}
 	sort.Slice(st.Entries, func(i, j int) bool { return st.Entries[i].Domain < st.Entries[j].Domain })
 	return st

@@ -3,6 +3,7 @@ package crawler
 import (
 	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/simclock"
 )
@@ -26,85 +27,65 @@ type CrawlerState struct {
 	Fetches int64
 }
 
-// ExportCache captures the verdict cache across all shards. Safe to call
-// when no checks are in flight (the day pipeline is quiescent between
-// days). The first export sorts every cached domain; later ones merge the
-// domains published since, new or re-verified, into the previous export,
-// reading only their verdicts and copying every other entry as it was.
+// ExportCache captures the verdict cache. Safe to call when no checks are
+// in flight (the day pipeline is quiescent between days). It keeps the
+// previous export's domain order: the IDs cached since are sorted and
+// merged into it, and every entry's verdict is read from the cache, so a
+// re-verified domain needs no merge and the cache is never sorted whole
+// again.
 func (c *Crawler) ExportCache() CrawlerState {
-	for i := range c.shards {
-		c.shards[i].mu.Lock()
-	}
-	var pub []string
-	for i := range c.shards {
-		sh := &c.shards[i]
-		if c.exported == nil {
-			//sslint:ignore maporder pub is sorted before it is read
-			for dom := range sh.cache {
-				pub = append(pub, dom)
-			}
-		} else {
-			pub = append(pub, sh.published...)
+	names := c.Domains.Names()
+	var add []int32
+	for id := range int32(c.cache.Len()) {
+		if e := c.cache.At(id); e.cached && !e.listed {
+			e.listed = true
+			add = append(add, id)
 		}
-		sh.published, sh.track = sh.published[:0], true
 	}
-	slices.Sort(pub)
-	pub = slices.Compact(pub)
-	// The cache only grows between exports, so the previous export's
-	// domains and pub together are every cached domain.
-	prev := c.exported
-	entries := make([]CachedVerdict, 0, len(prev)+len(pub))
+	slices.SortFunc(add, func(a, b int32) int { return strings.Compare(names[a], names[b]) })
+	order := c.spare[:0]
 	i := 0
-	for _, dom := range pub {
-		for i < len(prev) && prev[i].Domain < dom {
-			entries = append(entries, prev[i])
+	for _, id := range add {
+		for i < len(c.order) && names[c.order[i]] < names[id] {
+			order = append(order, c.order[i])
 			i++
 		}
-		if i < len(prev) && prev[i].Domain == dom {
-			i++
+		order = append(order, id)
+	}
+	order = append(order, c.order[i:]...)
+	c.order, c.spare = order, c.order
+	st := CrawlerState{Fetches: c.fetches.Load()}
+	if len(order) > 0 {
+		st.Entries = make([]CachedVerdict, len(order))
+		for k, id := range order {
+			st.Entries[k] = CachedVerdict{Domain: names[id], Verdict: c.cache.At(id).v}
 		}
-		entries = append(entries, CachedVerdict{Domain: dom, Verdict: c.shard(dom).cache[dom]})
-	}
-	entries = append(entries, prev[i:]...)
-	for i := range c.shards {
-		c.shards[i].mu.Unlock()
-	}
-	c.exported = entries
-	st := CrawlerState{Fetches: c.fetches.Load(), Entries: entries}
-	if len(entries) == 0 {
-		st.Entries = nil
 	}
 	return st
 }
 
 // RestoreCache overwrites the verdict cache with a previously exported
-// snapshot, whose sorted entries become the next export's merge base.
+// snapshot, interning its domains in Domains. Its sorted entries become
+// the next export's merge base.
 func (c *Crawler) RestoreCache(st CrawlerState) {
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		sh.cache = nil
-		sh.published, sh.track = nil, true
-		sh.mu.Unlock()
-	}
+	c.cache.Clear()
+	order := make([]int32, len(st.Entries))
 	sorted := true
 	for i, e := range st.Entries {
-		sh := c.shard(e.Domain)
-		sh.mu.Lock()
-		if sh.cache == nil {
-			sh.cache = make(map[string]Verdict)
-		}
-		sh.cache[e.Domain] = e.Verdict
-		sh.mu.Unlock()
+		order[i] = c.Domains.Intern(e.Domain)
 		if i > 0 && st.Entries[i-1].Domain >= e.Domain {
 			sorted = false
 		}
 	}
+	c.cache.Grow(c.Domains.Len())
+	for i, e := range st.Entries {
+		*c.cache.At(order[i]) = cacheEntry{v: e.Verdict, cached: true, listed: sorted}
+	}
 	// A list out of order (a hand-made snapshot) is not a merge base; the
-	// next export then sorts the cache from the maps.
-	c.exported = nil
+	// next export then sorts every cached domain.
+	c.order, c.spare = nil, nil
 	if sorted {
-		c.exported = st.Entries
+		c.order = order
 	}
 	c.fetches.Store(st.Fetches)
 }

@@ -47,6 +47,7 @@ var simulationPackages = []string{
 	"repro/internal/cnc",
 	"repro/internal/core",
 	"repro/internal/crawler",
+	"repro/internal/domid",
 	"repro/internal/experiments",
 	"repro/internal/export",
 	"repro/internal/faults",
@@ -126,6 +127,7 @@ func DefaultScope() *Scope {
 				"repro/internal/cnc",
 				"repro/internal/core",
 				"repro/internal/crawler",
+				"repro/internal/domid",
 				"repro/internal/experiments",
 				"repro/internal/export",
 				"repro/internal/htmlgen",

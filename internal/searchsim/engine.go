@@ -9,10 +9,12 @@ package searchsim
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 
 	"repro/internal/brands"
 	"repro/internal/campaign"
+	"repro/internal/domid"
 	"repro/internal/htmlgen"
 	"repro/internal/rng"
 	"repro/internal/simclock"
@@ -63,11 +65,11 @@ type Slot struct {
 	Domain  string
 	URL     string
 	Doorway *campaign.Doorway // nil for benign results
+	ID      int32             // Domain's ID in the engine's Domains table
 	Root    bool              // URL is the site root
 	Labeled bool              // carries the "This site may be hacked" label
 	// fresh marks a slot whose domain changed since the end-of-term walk
-	// last saw it; only such a slot can carry a domain not yet in
-	// seenDomains.
+	// last saw it; only such a slot can carry a domain not yet seen.
 	fresh bool
 }
 
@@ -102,17 +104,20 @@ type Engine struct {
 	verticals map[brands.Vertical]*verticalState
 	demoted   map[string]bool         // doorway domains removed from results
 	labeled   map[string]simclock.Day // doorway domain -> day labeled
-	// newDomains/totalSlots track daily churn for the §4.1.2 statistic.
-	seenDomains map[string]bool
-	newToday    int
-	slotsToday  int
-	// seenSorted is seenDomains' sorted keys as of the last export (nil
+	// seen (by domain ID), newToday and slotsToday track daily churn for
+	// the §4.1.2 statistic.
+	seen       domid.Column[bool]
+	newToday   int
+	slotsToday int
+	// seenSorted is the seen domains sorted as of the last export (nil
 	// until one), shared with that snapshot and never written in place;
 	// seenAdded holds the domains added since. Only a study that exports
 	// keeps them, so ExportState merges the day's few new domains in
 	// instead of sorting every domain ever seen.
 	seenSorted []string
 	seenAdded  []string
+	// domains names every domain a slot has held, by the ID slots carry.
+	domains *domid.Table
 }
 
 // New builds an engine over the deployed campaigns and term sets. terms
@@ -122,12 +127,12 @@ type Engine struct {
 //sslint:ignore hotalloc one-time study construction; the per-day hot path is Advance, and these maps live for the whole run
 func New(cfg Config, r *rng.Source, deps []*campaign.Deployment, terms map[brands.Vertical][]string) *Engine {
 	e := &Engine{
-		cfg:         cfg,
-		r:           r.Sub("searchsim"),
-		verticals:   make(map[brands.Vertical]*verticalState),
-		demoted:     make(map[string]bool),
-		labeled:     make(map[string]simclock.Day),
-		seenDomains: make(map[string]bool),
+		cfg:       cfg,
+		r:         r.Sub("searchsim"),
+		verticals: make(map[brands.Vertical]*verticalState),
+		demoted:   make(map[string]bool),
+		labeled:   make(map[string]simclock.Day),
+		domains:   new(domid.Table),
 	}
 	for _, v := range brands.All() {
 		ts := terms[v]
@@ -173,8 +178,12 @@ func New(cfg Config, r *rng.Source, deps []*campaign.Deployment, terms map[brand
 //sslint:ignore hotalloc domain format is pinned by the golden fingerprints and runs per churned slot at day boundaries, not per page
 func (e *Engine) benignSlot(v brands.Vertical, termIdx, rank int) Slot {
 	dom := fmt.Sprintf("site%d-%d.v%d.example.org", termIdx, e.r.Intn(1<<20), int(v))
-	return Slot{Rank: rank, Domain: dom, URL: "http://" + dom + "/", Root: true, fresh: true}
+	return Slot{Rank: rank, Domain: dom, ID: e.domains.Intern(dom), URL: "http://" + dom + "/", Root: true, fresh: true}
 }
+
+// Domains returns the table naming the IDs slots carry. It only grows:
+// Advance and RestoreState intern each domain a slot takes.
+func (e *Engine) Domains() *domid.Table { return e.domains }
 
 // capacity is the number of result slots per SERP a campaign can hold in a
 // vertical at full intensity, scaled by the size of its doorway pool there
@@ -300,9 +309,8 @@ func (e *Engine) advanceSERP(vs *verticalState, termIdx int, sp *serp, day simcl
 		}
 		e.slotsToday++
 		// Only a slot whose domain changed can bring a new domain: a
-		// walked one's domain is already in seenDomains.
-		if s.fresh && !e.seenDomains[s.Domain] {
-			e.seenDomains[s.Domain] = true
+		// walked one's domain is already seen.
+		if s.fresh && e.markSeen(s.ID) {
 			e.newToday++
 			if e.seenSorted != nil {
 				e.seenAdded = append(e.seenAdded, s.Domain)
@@ -310,6 +318,35 @@ func (e *Engine) advanceSERP(vs *verticalState, termIdx int, sp *serp, day simcl
 		}
 		s.fresh = false
 	}
+}
+
+// markSeen adds a domain to the seen set, reporting whether it is new.
+func (e *Engine) markSeen(id int32) bool {
+	e.seen.Grow(int(id) + 1)
+	seen := e.seen.At(id)
+	if *seen {
+		return false
+	}
+	*seen = true
+	return true
+}
+
+// isSeen reports whether a domain is in the seen set.
+func (e *Engine) isSeen(id int32) bool {
+	return int(id) < e.seen.Len() && *e.seen.At(id)
+}
+
+// seenNames returns every seen domain, sorted.
+func (e *Engine) seenNames() []string {
+	names := e.domains.Names()
+	out := make([]string, 0, len(names))
+	for id := range int32(len(names)) {
+		if e.isSeen(id) {
+			out = append(out, names[id])
+		}
+	}
+	sort.Strings(out)
+	return out
 }
 
 // insertDoorway converts a benign slot into a doorway result.
@@ -341,6 +378,7 @@ func (e *Engine) assignDoorway(s *Slot, term string, spec *campaign.Spec, pool [
 	}
 	s.Doorway = dw
 	s.Domain = dw.Domain
+	s.ID = e.domains.Intern(dw.Domain)
 	s.fresh = true
 	rootProb := e.cfg.RootProbDeep
 	if rootHeavy(dw.Domain, e.cfg.RootHeavyShare) {

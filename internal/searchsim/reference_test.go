@@ -4,13 +4,16 @@ import "sort"
 
 // referenceSeenDomains is ExportState's SeenDomains as it was before the
 // engine kept the sorted list across exports: every seen domain, sorted
-// from the map. ExportState must equal it.
+// whole. ExportState must equal it.
 func referenceSeenDomains(e *Engine) []string {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	out := make([]string, 0, len(e.seenDomains))
-	for k := range e.seenDomains {
-		out = append(out, k)
+	out := []string{}
+	names := e.domains.Names()
+	for id := range int32(len(names)) {
+		if int(id) < e.seen.Len() && *e.seen.At(id) {
+			out = append(out, names[id])
+		}
 	}
 	sort.Strings(out)
 	return out

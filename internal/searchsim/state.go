@@ -105,7 +105,7 @@ func (e *Engine) ExportState() EngineState {
 	}
 	sort.Slice(st.Labeled, func(i, j int) bool { return st.Labeled[i].Domain < st.Labeled[j].Domain })
 	if e.seenSorted == nil {
-		e.seenSorted = sortedKeys(e.seenDomains)
+		e.seenSorted = e.seenNames()
 	} else {
 		e.seenSorted = shard.MergeSorted(e.seenSorted, e.seenAdded)
 		e.seenAdded = e.seenAdded[:0]
@@ -131,9 +131,9 @@ func sortedKeys(m map[string]bool) []string {
 func (e *Engine) RestoreState(st EngineState, resolve func(domain string) *campaign.Doorway) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.seenDomains = make(map[string]bool, len(st.SeenDomains))
+	e.seen.Clear()
 	for _, d := range st.SeenDomains {
-		e.seenDomains[d] = true
+		e.markSeen(e.domains.Intern(d))
 	}
 	byVert := make(map[int]VerticalSERPs, len(st.Verticals))
 	for _, vst := range st.Verticals {
@@ -156,7 +156,8 @@ func (e *Engine) RestoreState(st EngineState, resolve func(domain string) *campa
 			for i, sl := range ss.Slots {
 				// A slot whose domain is not yet seen has not been walked
 				// since it changed (a day-0 snapshot's slots never were).
-				slot := Slot{Rank: i, Domain: sl.Domain, URL: sl.URL, Root: sl.Root, Labeled: sl.Labeled, fresh: !e.seenDomains[sl.Domain]}
+				id := e.domains.Intern(sl.Domain)
+				slot := Slot{Rank: i, Domain: sl.Domain, ID: id, URL: sl.URL, Root: sl.Root, Labeled: sl.Labeled, fresh: !e.isSeen(id)}
 				if sl.DoorwayDomain != "" {
 					dw := resolve(sl.DoorwayDomain)
 					if dw == nil {

@@ -1,7 +1,7 @@
 // Package shard provides the sharded string-keyed maps the observe phase's
-// shared read-mostly state lives in: memoised documents, crawler verdicts,
-// detector feature caches. A Map spreads keys over fixed shards by fnv-1a
-// hash, each guarded by its own RWMutex, so parallel observe workers stop
+// shared read-mostly state lives in: memoised documents and detector
+// feature caches. A Map spreads keys over fixed shards by fnv-1a hash,
+// each guarded by its own RWMutex, so parallel observe workers stop
 // contending on one lock. Reads by []byte key are allocation-free (the
 // map-index string conversion does not escape), which is what lets callers
 // build lookup keys in reused scratch buffers.
@@ -31,11 +31,6 @@ type mapShard[V any] struct {
 	// not false-share under parallel observe traffic.
 	_ [32]byte
 }
-
-// Hash exposes the fnv-1a shard hash so structures outside this package
-// (fixed shard arrays with richer per-shard state, e.g. the crawler's
-// verdict cache with its singleflight table) select shards consistently.
-func Hash(key string) uint64 { return hashString(key) }
 
 func hashString(key string) uint64 {
 	h := uint64(14695981039346656037)
