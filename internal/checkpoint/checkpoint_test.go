@@ -70,7 +70,7 @@ func snapshotAfter(t testing.TB, cut int) *core.StudySnapshot {
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	snap := snapshotAfter(t, 3)
-	data := Encode(snap)
+	data := encode(snap, 0)
 	got, err := Decode(data)
 	if err != nil {
 		t.Fatal(err)
@@ -80,7 +80,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	// Encoding is deterministic: the same snapshot re-encodes to the same
 	// bytes, so checkpoint files are byte-comparable across runs.
-	if !bytes.Equal(data, Encode(got)) {
+	if !bytes.Equal(data, encode(got, 0)) {
 		t.Fatal("re-encoding a decoded snapshot changed the bytes")
 	}
 	// The Manager's buffer size hint changes where the bytes are built,
@@ -94,7 +94,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 
 func TestDecodeRejectsDamage(t *testing.T) {
 	snap := snapshotAfter(t, 2)
-	data := Encode(snap)
+	data := encode(snap, 0)
 
 	t.Run("truncated", func(t *testing.T) {
 		for _, n := range []int{0, 1, headerSize - 1, headerSize + 7, len(data) / 2, len(data) - 1} {
@@ -485,7 +485,7 @@ func TestSaveAsyncOrdering(t *testing.T) {
 			}
 			m.SaveAsync(a, nil)
 			if procs == 1 {
-				if _, err := os.Stat(filepath.Join(m.Dir(), fileFor(int(a.NextDay)))); err != nil {
+				if _, err := os.Stat(filepath.Join(m.dir, fileFor(int(a.NextDay)))); err != nil {
 					t.Fatalf("inline SaveAsync returned before its file landed: %v", err)
 				}
 			}

@@ -102,11 +102,6 @@ var (
 	ErrSnapshotVersion = errors.New("checkpoint: snapshot schema too new")
 )
 
-// Encode serializes a snapshot into the framed, checksummed form.
-func Encode(snap *core.StudySnapshot) []byte {
-	return encode(snap, 0)
-}
-
 // encode frames snap's payload in a buffer of capacity capHint (or as
 // much as the payload needs): the payload is appended after the header,
 // which is filled in once its length is known.

@@ -21,7 +21,7 @@ import (
 // pathological length claims and the malformed-payload table.
 func FuzzDecode(f *testing.F) {
 	snap := core.NewWorld(testCfg()).Snapshot()
-	valid := Encode(snap)
+	valid := encode(snap, 0)
 	f.Add(valid)
 	f.Add([]byte{})
 	f.Add(valid[:headerSize])
@@ -94,12 +94,12 @@ func checkDecode(t *testing.T, data []byte) {
 	if snap == nil {
 		t.Fatal("Decode returned neither a snapshot nor an error")
 	}
-	back, err := Decode(Encode(snap))
+	back, err := Decode(encode(snap, 0))
 	if err != nil {
 		t.Fatalf("re-encoded snapshot does not decode: %v", err)
 	}
 	if !sameBits(reflect.ValueOf(back), reflect.ValueOf(snap)) {
-		t.Fatal("Decode(Encode(snap)) differs from snap")
+		t.Fatal("Decode(encode(snap, 0)) differs from snap")
 	}
 }
 

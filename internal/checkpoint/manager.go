@@ -95,9 +95,6 @@ func NewManager(opts Options) (*Manager, error) {
 	return m, nil
 }
 
-// Dir returns the checkpoint directory.
-func (m *Manager) Dir() string { return m.dir }
-
 // Due reports whether the cadence calls for a snapshot after day d.
 func (m *Manager) Due(d int) bool { return (d+1)%m.every == 0 }
 

@@ -232,7 +232,7 @@ func BenchmarkEncode(b *testing.B) {
 }
 
 func BenchmarkDecode(b *testing.B) {
-	data := Encode(snapshotAfter(b, 3))
+	data := encode(snapshotAfter(b, 3), 0)
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
 	b.ResetTimer()

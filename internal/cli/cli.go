@@ -31,7 +31,7 @@ type StudyFlags struct {
 // RegisterStudyFlags registers the shared study flags on fs:
 //
 //	-seed       study seed (defaultSeed)
-//	-faults     fault-injection profile, validated by Faults()
+//	-faults     fault-injection profile, validated by the study spec
 //	-telemetry  collect runtime metrics and stage spans (defaultTelemetry)
 //	-progress   live per-day stage reporter (implies -telemetry)
 func RegisterStudyFlags(fs *flag.FlagSet, defaultSeed uint64, defaultTelemetry bool) *StudyFlags {
@@ -51,12 +51,6 @@ func (f *StudyFlags) Seed() uint64 { return *f.seed }
 
 // FaultProfileName returns the raw -faults argument.
 func (f *StudyFlags) FaultProfileName() string { return *f.faultsArg }
-
-// Faults resolves the -faults profile name to its configuration; unknown
-// names return the error commands should print and exit 2 on.
-func (f *StudyFlags) Faults() (faults.Config, error) {
-	return faults.Profile(*f.faultsArg)
-}
 
 // TelemetryEnabled reports whether any telemetry sink was requested
 // (-telemetry, or -progress which needs one).

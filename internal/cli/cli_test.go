@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/telemetry"
 )
 
@@ -26,7 +27,7 @@ func TestDefaults(t *testing.T) {
 	if f.FaultProfileName() != "off" {
 		t.Fatalf("faults = %q", f.FaultProfileName())
 	}
-	fc, err := f.Faults()
+	fc, err := faults.Profile(f.FaultProfileName())
 	if err != nil || fc.Enabled() {
 		t.Fatalf("default fault profile = %+v, %v", fc, err)
 	}
@@ -36,11 +37,11 @@ func TestDefaults(t *testing.T) {
 }
 
 func TestFaultProfileResolution(t *testing.T) {
-	fc, err := parse(t, "-faults", "moderate").Faults()
+	fc, err := faults.Profile(parse(t, "-faults", "moderate").FaultProfileName())
 	if err != nil || !fc.Enabled() {
 		t.Fatalf("moderate = %+v, %v", fc, err)
 	}
-	if _, err := parse(t, "-faults", "bogus").Faults(); err == nil {
+	if _, err := faults.Profile(parse(t, "-faults", "bogus").FaultProfileName()); err == nil {
 		t.Fatal("unknown profile must error")
 	}
 }

@@ -117,7 +117,7 @@ func TestSeizuresObservedAndReactionsFollow(t *testing.T) {
 	// Reactions must re-point to domains that are live store domains.
 	w := d.World()
 	for _, r := range d.Reactions {
-		if _, ok := w.StoreByID(r.StoreID); !ok {
+		if _, ok := w.storesByID[r.StoreID]; !ok {
 			t.Fatalf("reaction for unknown store %s", r.StoreID)
 		}
 		if r.NewDomain == "" {

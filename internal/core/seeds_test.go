@@ -57,7 +57,7 @@ func TestInvariantsAcrossSeeds(t *testing.T) {
 			}
 			// Reactions always follow seizures by the campaign's delay.
 			for _, rc := range d.Reactions {
-				st, ok := w.StoreByID(rc.StoreID)
+				st, ok := w.storesByID[rc.StoreID]
 				if !ok {
 					t.Fatalf("unknown store %s", rc.StoreID)
 				}

@@ -294,7 +294,7 @@ func NewWorld(cfg Config) *World {
 	if cfg.ReactiveSeizures {
 		firms = intervention.ReactiveFirms()
 	}
-	w.Seizure = intervention.NewSeizureEngineWithFirms(r, study, w.Stores, firms)
+	w.Seizure = intervention.NewSeizureEngine(r, study, w.Stores, firms)
 	w.Seizure.OnSeize = w.onSeize
 	w.Seizure.OnReact = w.onReact
 
@@ -522,19 +522,7 @@ func (w *World) StoreByDomain(domain string) (*store.Store, bool) {
 	return st, ok
 }
 
-// StoreByID resolves a store id.
-func (w *World) StoreByID(id string) (*store.Store, bool) {
-	st, ok := w.storesByID[id]
-	return st, ok
-}
-
 // CampaignStores lists a campaign's stores by its key.
 func (w *World) CampaignStores(key string) []*store.Store {
 	return w.campStores[key]
-}
-
-// DoorwayTarget returns the store a doorway forwards to.
-func (w *World) DoorwayTarget(dwID string) (*store.Store, bool) {
-	st, ok := w.doorTargets[dwID]
-	return st, ok
 }

@@ -74,7 +74,7 @@ func TestDoorwayTargetsBelongToSameCampaign(t *testing.T) {
 	w := d.World()
 	for _, dep := range w.Deps {
 		for _, dw := range dep.Doorways {
-			st, ok := w.DoorwayTarget(dw.ID)
+			st, ok := w.doorTargets[dw.ID]
 			if !ok || st == nil {
 				t.Fatalf("doorway %s has no target", dw.ID)
 			}
@@ -153,7 +153,7 @@ func TestWatchedStoresArmed(t *testing.T) {
 	}
 	w := d.World()
 	for id := range d.WatchedPSRs {
-		st, ok := w.StoreByID(id)
+		st, ok := w.storesByID[id]
 		if !ok {
 			t.Fatalf("watched store %s unknown", id)
 		}

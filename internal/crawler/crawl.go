@@ -29,8 +29,7 @@ type Crawler struct {
 	Domains *domid.Table
 
 	// cache is the verdict cache, indexed by domain ID. It grows only in
-	// serial code (before CheckDomains' fan-out, in CheckDomain and in
-	// RestoreCache). During the fan-out each worker writes only the
+	// serial code (before CheckDomains' fan-out and in RestoreCache). During the fan-out each worker writes only the
 	// entries of its own jobs' domains, and no domain is in two jobs, so
 	// the writes are disjoint and take no lock.
 	cache domid.Column[cacheEntry]
@@ -72,19 +71,10 @@ func New(det *Detector) *Crawler {
 	return &Crawler{Det: det, RecheckDays: 4, Workers: 8, Domains: new(domid.Table)}
 }
 
-// CheckDomain returns the verdict for a domain, fetching only when the
-// cache does not already answer: clean domains are never re-fetched,
-// poisoned domains are re-verified every RecheckDays. It interns the
-// domain in Domains, so unlike CheckDomains it is not safe for concurrent
-// use.
-func (c *Crawler) CheckDomain(domain, sampleURL string, day simclock.Day) Verdict {
-	id := c.Domains.Intern(domain)
-	c.cache.Grow(c.Domains.Len())
-	return c.check(id, sampleURL, day)
-}
-
-// check is CheckDomain for a domain ID the cache has grown to. It writes
-// only the ID's own entry.
+// check returns the verdict for a domain ID the cache has grown to,
+// fetching only when the cache does not already answer: clean domains are
+// never re-fetched, poisoned domains are re-verified every RecheckDays. It
+// writes only the ID's own entry.
 func (c *Crawler) check(id int32, sampleURL string, day simclock.Day) Verdict {
 	e := c.cache.At(id)
 	if e.cached && (!e.v.Cloaked || int(day-e.v.CheckedDay) < c.RecheckDays) {
@@ -146,11 +136,6 @@ func (c *Crawler) CheckDomains(jobs []DomainJob, day simclock.Day) {
 			*ck.Out = c.check(j.ID, ck.URL, day)
 		}
 	}, c.poolObs)
-}
-
-// Fetches reports how many detector invocations the cache allowed through.
-func (c *Crawler) Fetches() int {
-	return int(c.fetches.Load())
 }
 
 // Cached returns the cached verdict for a domain, if any.

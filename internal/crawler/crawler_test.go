@@ -265,13 +265,13 @@ func TestRenderScriptErrorsNonFatal(t *testing.T) {
 func TestCrawlerCacheSkipsCleanDomains(t *testing.T) {
 	f := build(t)
 	c := New(f.det)
-	c.CheckDomain("benign-reviews.org", "http://benign-reviews.org/", 0)
-	n := c.Fetches()
+	checkAll(c, map[string]string{"benign-reviews.org": "http://benign-reviews.org/"}, 0)
+	n := c.fetches.Load()
 	for d := simclock.Day(1); d < 30; d++ {
-		c.CheckDomain("benign-reviews.org", "http://benign-reviews.org/", d)
+		checkAll(c, map[string]string{"benign-reviews.org": "http://benign-reviews.org/"}, d)
 	}
-	if c.Fetches() != n {
-		t.Fatalf("clean domain re-fetched: %d -> %d", n, c.Fetches())
+	if c.fetches.Load() != n {
+		t.Fatalf("clean domain re-fetched: %d -> %d", n, c.fetches.Load())
 	}
 }
 
@@ -280,14 +280,14 @@ func TestCrawlerRechecksPoisonedDomains(t *testing.T) {
 	c := New(f.det)
 	c.RecheckDays = 4
 	dom := f.doorDom["KEY"]
-	c.CheckDomain(dom, f.doorURL["KEY"], 0)
-	n := c.Fetches()
-	c.CheckDomain(dom, f.doorURL["KEY"], 2) // within recheck window
-	if c.Fetches() != n {
+	checkAll(c, map[string]string{dom: f.doorURL["KEY"]}, 0)
+	n := c.fetches.Load()
+	checkAll(c, map[string]string{dom: f.doorURL["KEY"]}, 2) // within recheck window
+	if c.fetches.Load() != n {
 		t.Fatal("poisoned domain re-fetched too early")
 	}
-	c.CheckDomain(dom, f.doorURL["KEY"], 5) // past recheck window
-	if c.Fetches() != n+1 {
+	checkAll(c, map[string]string{dom: f.doorURL["KEY"]}, 5) // past recheck window
+	if c.fetches.Load() != n+1 {
 		t.Fatal("poisoned domain not re-verified after RecheckDays")
 	}
 }
@@ -319,11 +319,11 @@ func TestCrawlerKeepsCloakedVerdictWhenCampaignGoesDark(t *testing.T) {
 	c := New(f.det)
 	c.RecheckDays = 1
 	u := "http://" + dw.Domain + "/"
-	v0 := c.CheckDomain(dw.Domain, u, 0)
+	v0 := checkAll(c, map[string]string{dw.Domain: u}, 0)[dw.Domain]
 	if !v0.Cloaked {
 		t.Fatalf("initial check must flag: %+v", v0)
 	}
-	v20 := c.CheckDomain(dw.Domain, u, 20)
+	v20 := checkAll(c, map[string]string{dw.Domain: u}, 20)[dw.Domain]
 	if !v20.Cloaked {
 		t.Fatal("verdict must not flip to clean when the campaign goes dark")
 	}
@@ -410,7 +410,7 @@ func TestExportCacheFollowsChanges(t *testing.T) {
 				u = f.doorURL[name]
 			}
 		}
-		c.CheckDomain(dom, u, d)
+		checkAll(c, map[string]string{dom: u}, d)
 	}
 	var kept []CrawlerState
 	var copies [][]CachedVerdict
@@ -443,7 +443,7 @@ func TestExportCacheFollowsChanges(t *testing.T) {
 	slices.Reverse(rev)
 	unsorted := New(f.det)
 	unsorted.RestoreCache(CrawlerState{Entries: rev})
-	unsorted.CheckDomain(news, f.doorURL["NEWSORG"], 5)
+	checkAll(unsorted, map[string]string{news: f.doorURL["NEWSORG"]}, 5)
 	export(unsorted, "after an unsorted restore")
 
 	restored := New(f.det)

@@ -72,7 +72,7 @@ func TestUnknownVerdictsNotCachedAsClean(t *testing.T) {
 	// Always-failing fetcher first: the verdict must be unknown.
 	dead := newFlaky(f.web, 1.0, 7)
 	c := New(NewDetector(dead))
-	v := c.CheckDomain(f.doorDom["KEY"], f.doorURL["KEY"], 0)
+	v := checkAll(c, map[string]string{f.doorDom["KEY"]: f.doorURL["KEY"]}, 0)[f.doorDom["KEY"]]
 	if v.Cloaked {
 		t.Fatalf("dead fetcher produced cloaked verdict: %+v", v)
 	}
@@ -84,7 +84,7 @@ func TestUnknownVerdictsNotCachedAsClean(t *testing.T) {
 	}
 	// Heal the fetcher: the same crawler must now find the doorway.
 	c.Det.F = f.web
-	v2 := c.CheckDomain(f.doorDom["KEY"], f.doorURL["KEY"], 1)
+	v2 := checkAll(c, map[string]string{f.doorDom["KEY"]: f.doorURL["KEY"]}, 1)[f.doorDom["KEY"]]
 	if !v2.Cloaked {
 		t.Fatalf("healed crawler missed the doorway: %+v", v2)
 	}
@@ -105,7 +105,7 @@ func TestEventualDetectionUnderFaults(t *testing.T) {
 	detected := map[string]bool{}
 	for day := simclock.Day(0); day < 40; day++ {
 		for dom, u := range targets {
-			if c.CheckDomain(dom, u, day).Cloaked {
+			if checkAll(c, map[string]string{dom: u}, day)[dom].Cloaked {
 				detected[dom] = true
 			}
 		}
@@ -126,10 +126,10 @@ func TestDoubleNotFoundIsDeterminate(t *testing.T) {
 	}
 	// And therefore cacheable: the crawler should not refetch it.
 	c := New(det)
-	c.CheckDomain("no-such-host.example", "http://no-such-host.example/", 0)
-	n := c.Fetches()
-	c.CheckDomain("no-such-host.example", "http://no-such-host.example/", 10)
-	if c.Fetches() != n {
+	checkAll(c, map[string]string{"no-such-host.example": "http://no-such-host.example/"}, 0)
+	n := c.fetches.Load()
+	checkAll(c, map[string]string{"no-such-host.example": "http://no-such-host.example/"}, 10)
+	if c.fetches.Load() != n {
 		t.Fatal("dead domain refetched")
 	}
 }

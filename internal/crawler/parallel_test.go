@@ -100,7 +100,7 @@ func TestCheckDomainsRunsJobChecksInOrder(t *testing.T) {
 		{ID: c.Domains.Intern("benign-reviews.org"), Domain: "benign-reviews.org", Checks: []DomainCheck{{URL: "http://benign-reviews.org/", Out: &out[2]}}},
 	}
 	c.CheckDomains(jobs, 0)
-	if got := c.Fetches(); got != 2 {
+	if got := c.fetches.Load(); got != 2 {
 		t.Fatalf("detector ran %d times for two domains", got)
 	}
 	if !out[0].Cloaked || out[1] != out[0] {
@@ -146,7 +146,7 @@ func TestCheckDomainsFetchCountsMatchSerial(t *testing.T) {
 			t.Fatalf("%s: serial %+v vs parallel %+v", dom, v, p)
 		}
 	}
-	if serial.Fetches() != par.Fetches() {
-		t.Fatalf("fetch counts differ: serial=%d parallel=%d", serial.Fetches(), par.Fetches())
+	if serial.fetches.Load() != par.fetches.Load() {
+		t.Fatalf("fetch counts differ: serial=%d parallel=%d", serial.fetches.Load(), par.fetches.Load())
 	}
 }

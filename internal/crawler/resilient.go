@@ -314,14 +314,4 @@ func (rf *ResilientFetcher) fold(br *breaker) {
 	br.dayFail, br.daySucc = 0, 0
 }
 
-// BreakerOpen reports whether a domain's breaker is open as of day d
-// (after folding any completed days). Exposed for tests and for studies
-// that report degraded-domain counts.
-func (rf *ResilientFetcher) BreakerOpen(domain string, d simclock.Day) bool {
-	rf.mu.Lock()
-	defer rf.mu.Unlock()
-	br := rf.breakerFor(domain, d)
-	return br.open && int(d-br.openedOn) < rf.Cfg.CooldownDays
-}
-
 var _ simweb.Fetcher = (*ResilientFetcher)(nil)

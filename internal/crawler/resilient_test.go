@@ -102,7 +102,7 @@ func TestBreakerLifecycle(t *testing.T) {
 	// them, so days 0-1 still reach the inner fetcher.
 	rf.Fetch(req(0))
 	rf.Fetch(req(1))
-	if rf.BreakerOpen("dying.example.com", 1) {
+	if !rf.admit("dying.example.com", 1) {
 		t.Fatal("breaker open before TripAfterDays folded")
 	}
 
@@ -119,8 +119,8 @@ func TestBreakerLifecycle(t *testing.T) {
 	if st := rf.Stats(); st.ShortCircuit != 1 {
 		t.Fatalf("stats = %+v, want 1 short circuit", st)
 	}
-	if !rf.BreakerOpen("dying.example.com", 2) {
-		t.Fatal("BreakerOpen false while short-circuiting")
+	if rf.admit("dying.example.com", 2) {
+		t.Fatal("breaker admits fetches while short-circuiting")
 	}
 
 	// Day 1+CooldownDays = 4: half-open, probes flow; the domain healed, so
@@ -129,7 +129,7 @@ func TestBreakerLifecycle(t *testing.T) {
 	if resp := rf.Fetch(req(4)); resp.Failed() {
 		t.Fatalf("half-open probe failed against healed host: %+v", resp)
 	}
-	if rf.BreakerOpen("dying.example.com", 5) {
+	if !rf.admit("dying.example.com", 5) {
 		t.Fatal("breaker still open after successful half-open day")
 	}
 	if resp := rf.Fetch(req(5)); resp.Failed() {
@@ -178,7 +178,7 @@ func TestDaySuccessKeepsBreakerClosed(t *testing.T) {
 			t.Fatalf("day %d chain failed: %+v", day, resp)
 		}
 	}
-	if rf.BreakerOpen("flappy.example.com", 10) {
+	if !rf.admit("flappy.example.com", 10) {
 		t.Fatal("breaker opened despite every chain succeeding")
 	}
 }
@@ -211,7 +211,7 @@ func TestBackoffDeterministicAndBounded(t *testing.T) {
 // TestRestoreWithoutIdleBreakers: ExportState leaves idle breakers out, so
 // a fetcher restored from it lacks breakers the original still holds. Over
 // every later day the two must still short-circuit the same fetches, report
-// the same BreakerOpen state, keep the same FetchStats and export the same
+// the same breaker state, keep the same FetchStats and export the same
 // state. Domains fail, flap, recover and go unfetched by a hash of (domain,
 // day), and the run is cut at several days.
 func TestRestoreWithoutIdleBreakers(t *testing.T) {
@@ -238,7 +238,7 @@ func TestRestoreWithoutIdleBreakers(t *testing.T) {
 	day := func(rf *ResilientFetcher, d simclock.Day) []string {
 		var out []string
 		for i := 0; i < domains; i++ {
-			open := rf.BreakerOpen(domainOf(i), d)
+			open := !rf.admit(domainOf(i), d)
 			if coin(i, d, 2) < 3 {
 				// Not crawled today: the breaker is folded, and its day
 				// ends with no fetch at all.

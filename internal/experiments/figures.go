@@ -198,47 +198,6 @@ func (r *Figure4Result) String() string {
 	return b.String()
 }
 
-// Correlation returns the Pearson correlation between a campaign's PSR
-// top-100 prevalence and its estimated order rate — the headline
-// relationship of §5.2.1.
-func (p *Figure4Panel) Correlation() float64 {
-	return pearson(p.Top100, p.Rate)
-}
-
-func pearson(a, b metrics.Series) float64 {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	if n == 0 {
-		return 0
-	}
-	ma, _ := metrics.MeanStddev(a[:n])
-	mb, _ := metrics.MeanStddev(b[:n])
-	var cov, va, vb float64
-	for i := 0; i < n; i++ {
-		da, db := a[i]-ma, b[i]-mb
-		cov += da * db
-		va += da * da
-		vb += db * db
-	}
-	if va == 0 || vb == 0 {
-		return 0
-	}
-	return cov / sqrt(va*vb)
-}
-
-func sqrt(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	g := x
-	for i := 0; i < 30; i++ {
-		g = (g + x/g) / 2
-	}
-	return g
-}
-
 // Figure5Result is the coco*.com case study.
 type Figure5Result struct {
 	StoreID     string

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/brands"
 	"repro/internal/core"
@@ -40,18 +39,6 @@ func Table1(d *core.Dataset) *Table1Result {
 		})
 	}
 	return res
-}
-
-// Totals sums the rows (campaign total is the distinct count, not a sum).
-func (r *Table1Result) Totals(d *core.Dataset) Table1Row {
-	var t Table1Row
-	for _, row := range r.Rows {
-		t.PSRs += row.PSRs
-	}
-	t.Doorways = d.TotalDoorways()
-	t.Stores = d.TotalStores()
-	t.Campaigns = len(d.Campaigns)
-	return t
 }
 
 // String implements fmt.Stringer in the paper's layout.
@@ -210,18 +197,4 @@ func (r *Table3Result) String() string {
 	return "Table 3: domain seizures initiated by brand holders, Feb 2012 - Jul 2014\n" +
 		"(paper: GBC 69 cases / 17 brands / 31,819 seized / 214 stores / 40 classified / 17 campaigns;\n" +
 		"        SMGPA 47 / 11 / 8,056 / 76 / 20 / 12)\n\n" + t.String()
-}
-
-// campaignSortedByPSRs orders campaign names by total observed PSRs.
-func campaignSortedByPSRs(d *core.Dataset) []string {
-	names := sortedKeys(d.Campaigns)
-	sort.Slice(names, func(i, j int) bool {
-		si := d.Campaigns[names[i]].PSRTop100.Sum()
-		sj := d.Campaigns[names[j]].PSRTop100.Sum()
-		if si != sj {
-			return si > sj
-		}
-		return names[i] < names[j]
-	})
-	return names
 }

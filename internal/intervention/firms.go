@@ -95,15 +95,6 @@ func ReactiveFirms() []*Firm {
 	return out
 }
 
-// TotalCases returns the number of cases the firm files over the window.
-func (f *Firm) TotalCases() int {
-	var n int
-	for _, c := range f.Clients {
-		n += c
-	}
-	return n
-}
-
 // CaseSchedule lays the firm's cases for one brand out over the seizure
 // window. Brands pursued aggressively follow the cadences §5.3 observed —
 // bi-weekly filings for 15+ case clients (Uggs, Chanel), monthly for 5-14

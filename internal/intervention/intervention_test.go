@@ -1,6 +1,7 @@
 package intervention
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -18,11 +19,17 @@ func TestFirmsMatchTable3Shape(t *testing.T) {
 		t.Fatalf("firms = %d", len(fs))
 	}
 	gbc, smgpa := fs[0], fs[1]
-	if gbc.TotalCases() != 69 || len(gbc.Clients) != 17 {
-		t.Fatalf("GBC: %d cases, %d brands; want 69/17", gbc.TotalCases(), len(gbc.Clients))
+	cases := func(f *Firm) (n int) {
+		for _, c := range f.Clients {
+			n += c
+		}
+		return n
 	}
-	if smgpa.TotalCases() != 47 || len(smgpa.Clients) != 11 {
-		t.Fatalf("SMGPA: %d cases, %d brands; want 47/11", smgpa.TotalCases(), len(smgpa.Clients))
+	if cases(gbc) != 69 || len(gbc.Clients) != 17 {
+		t.Fatalf("GBC: %d cases, %d brands; want 69/17", cases(gbc), len(gbc.Clients))
+	}
+	if cases(smgpa) != 47 || len(smgpa.Clients) != 11 {
+		t.Fatalf("SMGPA: %d cases, %d brands; want 47/11", cases(smgpa), len(smgpa.Clients))
 	}
 	// §5.3 cadence: Uggs and Chanel are GBC's bi-weekly outliers.
 	if gbc.Clients["Uggs"] != 19 || gbc.Clients["Chanel"] != 18 || gbc.Clients["Oakley"] != 6 {
@@ -72,7 +79,7 @@ func build(t *testing.T) *fixture {
 			stores = append(stores, store.New(sd, r, w.Days()))
 		}
 	}
-	e := NewSeizureEngine(rng.New(53), w, stores)
+	e := NewSeizureEngine(rng.New(53), w, stores, Firms())
 	f := &fixture{eng: e, stores: stores, byID: map[string]*store.Store{}}
 	for _, st := range stores {
 		f.byID[st.ID()] = st
@@ -336,9 +343,10 @@ func TestMassDemotionEvent(t *testing.T) {
 		}
 	}
 	lab.Tick(key.Spec.DemotedOn, eng, specs, deps)
+	st := eng.ExportState()
 	var demoted, labeled int
 	for _, dw := range key.Doorways {
-		if eng.Demoted(dw.Domain) {
+		if slices.Contains(st.Demoted, dw.Domain) {
 			demoted++
 		}
 		if _, ok := eng.LabeledOn(dw.Domain); ok {

@@ -87,19 +87,6 @@ func (l *Labeler) rootDominant(domain string) bool {
 	return l.obsRoot[domain]*2 >= l.obsTotal[domain] && l.obsRoot[domain] >= 3
 }
 
-// FirstRootSeen returns the day a domain was first observed at its root —
-// the moment Google's hacked-site detection clock starts.
-func (l *Labeler) FirstRootSeen(domain string) (simclock.Day, bool) {
-	d, ok := l.rootSeen[domain]
-	return d, ok
-}
-
-// FirstSeen returns the first-sighting day for a domain.
-func (l *Labeler) FirstSeen(domain string) (simclock.Day, bool) {
-	d, ok := l.firstSeen[domain]
-	return d, ok
-}
-
 // delayFor derives the deterministic per-domain detection delay.
 func (l *Labeler) delayFor(domain string) int {
 	span := l.DelayMaxDays - l.DelayMinDays + 1

@@ -46,14 +46,9 @@ type reaction struct {
 
 // NewSeizureEngine lays out every firm's case schedule over the seizure
 // window. Historical (pre-study) cases are materialised immediately with
-// their bulk domain lists; in-study cases fire via Tick.
-func NewSeizureEngine(r *rng.Source, study simclock.Window, stores []*store.Store) *SeizureEngine {
-	return NewSeizureEngineWithFirms(r, study, stores, Firms())
-}
-
-// NewSeizureEngineWithFirms is NewSeizureEngine with an explicit firm
-// roster (used by the reactive-seizure ablation).
-func NewSeizureEngineWithFirms(r *rng.Source, study simclock.Window, stores []*store.Store, firms []*Firm) *SeizureEngine {
+// their bulk domain lists; in-study cases fire via Tick. firms is the
+// roster, Firms() unless an ablation rescales it.
+func NewSeizureEngine(r *rng.Source, study simclock.Window, stores []*store.Store, firms []*Firm) *SeizureEngine {
 	e := &SeizureEngine{
 		r:            r.Sub("seizure"),
 		study:        study,

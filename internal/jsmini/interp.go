@@ -41,8 +41,23 @@ func (pg *Page) AppendedElements() []*Element {
 	return out
 }
 
-// ErrBudget is returned when a script exceeds its evaluation budget.
+// ErrBudget is returned when a script exceeds its evaluation budget: too
+// many steps, or too many bytes of built strings and arrays.
 var ErrBudget = errors.New("jsmini: evaluation budget exceeded")
+
+const (
+	// stepBudget bounds the statements and expressions one Exec evaluates.
+	stepBudget = 200000
+	// byteBudget bounds the bytes one Exec builds: every string a script
+	// constructs (concatenation, concat, join, replace, case mapping,
+	// escaping, document.write, innerHTML) and every array slot it
+	// creates is charged. Bench-preset studies charge at most about 17 KB
+	// to one Exec, so only a string-doubling bomb comes near it.
+	byteBudget = 1 << 20
+	// slotBytes is the charge for one array slot: an interface value and
+	// the string header it boxes.
+	slotBytes = 32
+)
 
 // value is a runtime value: nil (undefined), string, float64, bool,
 // []value (array), *Element, *object, or builtin.
@@ -73,22 +88,29 @@ type closure struct {
 }
 
 type interp struct {
-	page   *Page
-	vars   map[string]value
-	budget int
+	page  *Page
+	vars  map[string]value
+	steps int // evaluation steps left
+	bytes int // bytes left to build; negative once the budget is spent
 }
 
 // Exec parses and executes src against page. Script effects (redirects,
 // writes, created elements, cookies) are recorded on page. A nil error
-// means the script ran to completion within budget.
+// means the script ran to completion within both budgets.
 func Exec(src string, page *Page) error {
 	stmts, err := parse(src)
 	if err != nil {
 		return err
 	}
-	in := &interp{page: page, vars: map[string]value{}, budget: 200000}
+	in := &interp{page: page, vars: map[string]value{}, steps: stepBudget, bytes: byteBudget}
 	in.installGlobals()
-	return in.run(stmts)
+	if err := in.run(stmts); err != nil {
+		return err
+	}
+	if in.bytes < 0 {
+		return ErrBudget
+	}
+	return nil
 }
 
 func (in *interp) run(stmts []stmt) error {
@@ -101,11 +123,29 @@ func (in *interp) run(stmts []stmt) error {
 }
 
 func (in *interp) step() error {
-	in.budget--
-	if in.budget <= 0 {
+	in.steps--
+	if in.steps <= 0 || in.bytes < 0 {
 		return ErrBudget
 	}
 	return nil
+}
+
+// charge books n bytes against the byte budget and reports whether they
+// fit. An operation whose charge does not fit builds nothing; the next
+// step (or the end of Exec) returns ErrBudget.
+func (in *interp) charge(n int) bool {
+	in.bytes -= n
+	return in.bytes >= 0
+}
+
+// str is toString for a value the script keeps or builds on: an array's
+// joined text is a new string, so it is charged.
+func (in *interp) str(v value) string {
+	s := toString(v)
+	if _, ok := v.([]value); ok && !in.charge(len(s)) {
+		return ""
+	}
+	return s
 }
 
 func (in *interp) exec(s stmt) error {
@@ -151,7 +191,7 @@ func (in *interp) assign(s assignStmt) error {
 	switch t := s.target.(type) {
 	case identExpr:
 		if s.op == "+=" {
-			v = addValues(in.vars[t.name], v)
+			v = in.add(in.vars[t.name], v)
 		}
 		in.vars[t.name] = v
 		return nil
@@ -162,7 +202,7 @@ func (in *interp) assign(s assignStmt) error {
 		}
 		if s.op == "+=" {
 			cur, _ := in.member(obj, t.name)
-			v = addValues(cur, v)
+			v = in.add(cur, v)
 		}
 		return in.setMember(obj, t.name, v)
 	case indexExpr:
@@ -174,7 +214,7 @@ func (in *interp) assign(s assignStmt) error {
 		if err != nil {
 			return err
 		}
-		return in.setMember(obj, toString(idx), v)
+		return in.setMember(obj, in.str(idx), v)
 	}
 	return fmt.Errorf("jsmini: bad assignment target %T", s.target)
 }
@@ -186,19 +226,19 @@ func (in *interp) setMember(obj value, name string, v value) error {
 	case *object:
 		switch {
 		case (o.kind == "window" || o.kind == "document") && name == "location":
-			in.page.Redirect = toString(v)
+			in.page.Redirect = in.str(v)
 			return nil
 		case o.kind == "location" && (name == "href" || name == "hash" || name == "search"):
 			if name == "href" {
-				in.page.Redirect = toString(v)
+				in.page.Redirect = in.str(v)
 			}
 			return nil
 		case o.kind == "document" && name == "cookie":
-			in.page.Cookies = append(in.page.Cookies, toString(v))
+			in.page.Cookies = append(in.page.Cookies, in.str(v))
 			return nil
 		case o.kind == "style":
 			if o.elem != nil {
-				o.elem.Attrs["style:"+camelToCSS(name)] = toString(v)
+				o.elem.Attrs["style:"+camelToCSS(name)] = in.str(v)
 			}
 			return nil
 		}
@@ -209,11 +249,15 @@ func (in *interp) setMember(obj value, name string, v value) error {
 		case "style":
 			return fmt.Errorf("jsmini: cannot replace style object")
 		case "innerHTML":
-			in.page.Writes = append(in.page.Writes, toString(v))
-			o.Attrs["innerHTML"] = toString(v)
+			html := in.str(v)
+			if !in.charge(len(html)) {
+				return nil
+			}
+			in.page.Writes = append(in.page.Writes, html)
+			o.Attrs["innerHTML"] = html
 			return nil
 		default:
-			o.Attrs[strings.ToLower(name)] = toString(v)
+			o.Attrs[strings.ToLower(name)] = in.str(v)
 			return nil
 		}
 	}
@@ -290,7 +334,7 @@ func (in *interp) eval(e expr) (value, error) {
 			}
 			return s[i : i+1], nil
 		}
-		return in.member(obj, toString(idx))
+		return in.member(obj, in.str(idx))
 	case callExpr:
 		return in.call(e)
 	case binExpr:
@@ -404,7 +448,7 @@ func (in *interp) binary(e binExpr) (value, error) {
 	}
 	switch e.op {
 	case "+":
-		return addValues(l, r), nil
+		return in.add(l, r), nil
 	case "-":
 		return toNumber(l) - toNumber(r), nil
 	case "*":
@@ -433,14 +477,23 @@ func (in *interp) binary(e binExpr) (value, error) {
 	return nil, fmt.Errorf("jsmini: binary %q", e.op)
 }
 
-func addValues(l, r value) value {
-	if ls, ok := l.(string); ok {
-		return ls + toString(r)
+// add is JavaScript's +: concatenation if either side is a string, the
+// result charged before it is built; numeric addition otherwise.
+func (in *interp) add(l, r value) value {
+	ls, lok := l.(string)
+	rs, rok := r.(string)
+	switch {
+	case !lok && !rok:
+		return toNumber(l) + toNumber(r)
+	case !lok:
+		ls = in.str(l)
+	case !rok:
+		rs = in.str(r)
 	}
-	if rs, ok := r.(string); ok {
-		return toString(l) + rs
+	if !in.charge(len(ls) + len(rs)) {
+		return ""
 	}
-	return toNumber(l) + toNumber(r)
+	return ls + rs
 }
 
 func compare(l, r value) int {
@@ -687,8 +740,12 @@ func (in *interp) installGlobals() {
 	in.vars["Math"] = &object{kind: "Math", props: map[string]value{}}
 	in.vars["unescape"] = builtin(builtinUnescape)
 	in.vars["decodeURIComponent"] = builtin(builtinUnescape)
-	in.vars["escape"] = builtin(func(_ *interp, _ value, a []value) (value, error) {
-		return url.QueryEscape(toString(arg(a, 0))), nil
+	in.vars["escape"] = builtin(func(in *interp, _ value, a []value) (value, error) {
+		s := in.str(arg(a, 0))
+		if !in.charge(3 * len(s)) {
+			return "", nil
+		}
+		return url.QueryEscape(s), nil
 	})
 	in.vars["parseInt"] = builtin(func(_ *interp, _ value, a []value) (value, error) {
 		// Like JavaScript's parseInt: consume the leading optional sign and
@@ -716,11 +773,15 @@ func (in *interp) installGlobals() {
 }
 
 func builtinDocumentWrite(in *interp, _ value, args []value) (value, error) {
-	var b strings.Builder
-	for _, a := range args {
-		b.WriteString(toString(a))
+	parts := make([]string, len(args))
+	n := 0
+	for i, a := range args {
+		parts[i] = in.str(a)
+		n += len(parts[i])
 	}
-	in.page.Writes = append(in.page.Writes, b.String())
+	if in.charge(n) {
+		in.page.Writes = append(in.page.Writes, strings.Join(parts, ""))
+	}
 	return nil, nil
 }
 
@@ -743,12 +804,12 @@ func builtinGetElementByID(in *interp, _ value, args []value) (value, error) {
 	return e, nil
 }
 
-func builtinSetAttribute(_ *interp, this value, args []value) (value, error) {
+func builtinSetAttribute(in *interp, this value, args []value) (value, error) {
 	e, ok := this.(*Element)
 	if !ok {
 		return nil, fmt.Errorf("jsmini: setAttribute on %T", this)
 	}
-	e.Attrs[strings.ToLower(toString(arg(args, 0)))] = toString(arg(args, 1))
+	e.Attrs[strings.ToLower(in.str(arg(args, 0)))] = in.str(arg(args, 1))
 	return nil, nil
 }
 
@@ -761,7 +822,7 @@ func builtinAppendChild(_ *interp, _ value, args []value) (value, error) {
 }
 
 func builtinLocationReplace(in *interp, _ value, args []value) (value, error) {
-	in.page.Redirect = toString(arg(args, 0))
+	in.page.Redirect = in.str(arg(args, 0))
 	return nil, nil
 }
 
@@ -773,8 +834,11 @@ func builtinFromCharCode(_ *interp, _ value, args []value) (value, error) {
 	return b.String(), nil
 }
 
-func builtinUnescape(_ *interp, _ value, args []value) (value, error) {
-	s := toString(arg(args, 0))
+func builtinUnescape(in *interp, _ value, args []value) (value, error) {
+	s := in.str(arg(args, 0))
+	if !in.charge(len(s)) {
+		return "", nil
+	}
 	if out, err := url.QueryUnescape(s); err == nil {
 		return out, nil
 	}

@@ -7,9 +7,9 @@
 // would build — the capability whose cost the paper identifies as the main
 // obstacle to detecting iframe cloaking at scale.
 //
-// The interpreter is defensive: it has an instruction budget, no host
-// access beyond the supplied Page, and treats any unsupported construct as
-// a soft error rather than a panic.
+// The interpreter is defensive: it has a step budget and a byte budget,
+// no host access beyond the supplied Page, and treats any unsupported
+// construct as a soft error rather than a panic.
 package jsmini
 
 import (

@@ -68,8 +68,15 @@ func stringMember(s, name string) (value, error) {
 			return s[start:end], nil
 		}), nil
 	case "split":
-		return builtin(func(_ *interp, _ value, a []value) (value, error) {
+		return builtin(func(in *interp, _ value, a []value) (value, error) {
 			sep := toString(arg(a, 0))
+			n := len(s)
+			if sep != "" {
+				n = strings.Count(s, sep) + 1
+			}
+			if !in.charge(n * slotBytes) {
+				return []value{}, nil
+			}
 			var parts []string
 			if sep == "" {
 				for i := 0; i < len(s); i++ {
@@ -85,25 +92,40 @@ func stringMember(s, name string) (value, error) {
 			return out, nil
 		}), nil
 	case "replace":
-		return builtin(func(_ *interp, _ value, a []value) (value, error) {
-			return strings.Replace(s, toString(arg(a, 0)), toString(arg(a, 1)), 1), nil
+		return builtin(func(in *interp, _ value, a []value) (value, error) {
+			old, repl := in.str(arg(a, 0)), in.str(arg(a, 1))
+			if !in.charge(len(s) + len(repl)) {
+				return "", nil
+			}
+			return strings.Replace(s, old, repl, 1), nil
 		}), nil
 	case "toLowerCase":
-		return builtin(func(_ *interp, _ value, _ []value) (value, error) {
+		return builtin(func(in *interp, _ value, _ []value) (value, error) {
+			if !in.charge(len(s)) {
+				return "", nil
+			}
 			return strings.ToLower(s), nil
 		}), nil
 	case "toUpperCase":
-		return builtin(func(_ *interp, _ value, _ []value) (value, error) {
+		return builtin(func(in *interp, _ value, _ []value) (value, error) {
+			if !in.charge(len(s)) {
+				return "", nil
+			}
 			return strings.ToUpper(s), nil
 		}), nil
 	case "concat":
-		return builtin(func(_ *interp, _ value, a []value) (value, error) {
-			var b strings.Builder
-			b.WriteString(s)
-			for _, x := range a {
-				b.WriteString(toString(x))
+		return builtin(func(in *interp, _ value, a []value) (value, error) {
+			parts := make([]string, len(a)+1)
+			parts[0] = s
+			n := len(s)
+			for i, x := range a {
+				parts[i+1] = in.str(x)
+				n += len(parts[i+1])
 			}
-			return b.String(), nil
+			if !in.charge(n) {
+				return "", nil
+			}
+			return strings.Join(parts, ""), nil
 		}), nil
 	case "trim":
 		return builtin(func(_ *interp, _ value, _ []value) (value, error) {
@@ -130,7 +152,10 @@ func arrayMember(a []value, name string) (value, error) {
 	case "length":
 		return float64(len(a)), nil
 	case "reverse":
-		return builtin(func(_ *interp, _ value, _ []value) (value, error) {
+		return builtin(func(in *interp, _ value, _ []value) (value, error) {
+			if !in.charge(len(a) * slotBytes) {
+				return []value{}, nil
+			}
 			out := make([]value, len(a))
 			for i, v := range a {
 				out[len(a)-1-i] = v
@@ -138,14 +163,19 @@ func arrayMember(a []value, name string) (value, error) {
 			return out, nil
 		}), nil
 	case "join":
-		return builtin(func(_ *interp, _ value, args []value) (value, error) {
+		return builtin(func(in *interp, _ value, args []value) (value, error) {
 			sep := ","
 			if len(args) > 0 {
-				sep = toString(args[0])
+				sep = in.str(args[0])
 			}
 			parts := make([]string, len(a))
+			n := len(sep) * max(len(a)-1, 0)
 			for i, v := range a {
-				parts[i] = toString(v)
+				parts[i] = in.str(v)
+				n += len(parts[i])
+			}
+			if !in.charge(n) {
+				return "", nil
 			}
 			return strings.Join(parts, sep), nil
 		}), nil
@@ -157,7 +187,7 @@ func arrayMember(a []value, name string) (value, error) {
 			return a[len(a)-1], nil
 		}), nil
 	case "slice":
-		return builtin(func(_ *interp, _ value, args []value) (value, error) {
+		return builtin(func(in *interp, _ value, args []value) (value, error) {
 			start := clampIdx(int(toNumber(arg(args, 0))), len(a))
 			end := len(a)
 			if len(args) > 1 {
@@ -165,6 +195,9 @@ func arrayMember(a []value, name string) (value, error) {
 			}
 			if end < start {
 				end = start
+			}
+			if !in.charge((end - start) * slotBytes) {
+				return []value{}, nil
 			}
 			out := make([]value, end-start)
 			copy(out, a[start:end])

@@ -117,21 +117,15 @@ type Node struct {
 	Calls []Call
 }
 
-// Graph holds one package's nodes keyed by function object, plus the
-// source-ordered node list for deterministic iteration.
+// Graph holds one package's nodes in source order.
 type Graph struct {
 	Nodes []*Node
-	byFn  map[*types.Func]*Node
 }
-
-// NodeOf returns the node for fn, or nil if fn is not declared in the
-// graph's package.
-func (g *Graph) NodeOf(fn *types.Func) *Node { return g.byFn[fn] }
 
 // Build constructs the call graph of one package from its syntax and type
 // information, resolving interface calls against u.
 func Build(files []*ast.File, info *types.Info, u *Universe) *Graph {
-	g := &Graph{byFn: make(map[*types.Func]*Node)}
+	g := &Graph{}
 	for _, f := range files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -154,7 +148,6 @@ func Build(files []*ast.File, info *types.Info, u *Universe) *Graph {
 				return true
 			})
 			g.Nodes = append(g.Nodes, n)
-			g.byFn[fn] = n
 		}
 	}
 	return g

@@ -77,21 +77,20 @@ var simulationPackages = []string{
 //     nowalltime/poolonly: measuring wall time and running workers is
 //     their entire purpose, and both are proven fingerprint-neutral by
 //     the determinism tests. telemetry still gets maporder (its exposition
-//     formats promise stable output) and is the sole niltelemetry target.
+//     formats promise stable output).
 //   - internal/faults/handler.go is excluded from nowalltime: it is the
 //     net/http fault layer driving real connections, where deadline
 //     plumbing against the machine clock is legitimate.
 func DefaultScope() *Scope {
 	return &Scope{
 		Packages: map[string][]string{
-			NoWallTime.Name:   simulationPackages,
-			SeededRand.Name:   simulationPackages,
-			MapOrder.Name:     append([]string{"repro/internal/telemetry"}, simulationPackages...),
-			PoolOnly.Name:     simulationPackages,
-			NilTelemetry.Name: {"repro/internal/telemetry"},
-			Purity.Name:       simulationPackages,
-			RaceCapture.Name:  simulationPackages,
-			CtxFlow.Name:      simulationPackages,
+			NoWallTime.Name:  simulationPackages,
+			SeededRand.Name:  simulationPackages,
+			MapOrder.Name:    append([]string{"repro/internal/telemetry"}, simulationPackages...),
+			PoolOnly.Name:    simulationPackages,
+			Purity.Name:      simulationPackages,
+			RaceCapture.Name: simulationPackages,
+			CtxFlow.Name:     simulationPackages,
 			// Snapshot completeness applies wherever Export*/Restore* pairs
 			// live; running it over the whole sim core means a pair added to
 			// a new package is covered the day it lands.

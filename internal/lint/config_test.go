@@ -28,9 +28,6 @@ func TestDefaultScopeCoversSimulationPackages(t *testing.T) {
 		{NoWallTime.Name, "repro/internal/parallel", false},
 		{PoolOnly.Name, "repro/internal/parallel", false},
 		{PoolOnly.Name, "repro/cmd/crawlerd", false},
-		// niltelemetry exists for exactly one package.
-		{NilTelemetry.Name, "repro/internal/telemetry", true},
-		{NilTelemetry.Name, "repro/internal/core", false},
 	}
 	for _, c := range cases {
 		if got := s.AppliesTo(c.analyzer, c.pkg); got != c.want {

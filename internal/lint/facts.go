@@ -10,7 +10,7 @@ import (
 
 // This file defines the fact vocabulary the suite propagates across
 // packages. The base analyzers (nowalltime, seededrand, maporder,
-// poolonly, niltelemetry) export source-level facts on the functions that
+// poolonly) export source-level facts on the functions that
 // contain violations — in every package, scoped or not, because a fact is
 // evidence, not a verdict — and purity folds them transitively over the
 // call graph. Scope decides where verdicts (diagnostics) land; facts are
@@ -94,13 +94,6 @@ type PoolForwarder struct {
 }
 
 func (*PoolForwarder) AFact() {}
-
-// NilSafe marks a pointer-receiver method proven safe to call on a nil
-// receiver: it nil-guards, never touches the receiver, or only delegates
-// to other NilSafe methods. Exported by niltelemetry.
-type NilSafe struct{}
-
-func (*NilSafe) AFact() {}
 
 // enclosingFuncObj returns the declared function whose body contains pos,
 // or nil for positions outside any function declaration (package-level

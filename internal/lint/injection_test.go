@@ -12,14 +12,15 @@ import (
 	"repro/internal/lint/load"
 )
 
-// preV3Suite is the eight-analyzer suite as it stood before the
-// state-integrity analyzers landed. Each injection test below runs it as
-// a control: the smuggled violation must be invisible to the old suite
-// and caught by the new analyzer, or the new analyzer adds nothing.
+// preV3Suite is the suite as it stood before the state-integrity
+// analyzers landed, less the since-retired niltelemetry. Each injection
+// test below runs it as a control: the smuggled violation must be
+// invisible to the old suite and caught by the new analyzer, or the new
+// analyzer adds nothing.
 func preV3Suite() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		lint.CtxFlow, lint.MapOrder, lint.NilTelemetry, lint.NoWallTime,
-		lint.PoolOnly, lint.Purity, lint.RaceCapture, lint.SeededRand,
+		lint.CtxFlow, lint.MapOrder, lint.NoWallTime, lint.PoolOnly,
+		lint.Purity, lint.RaceCapture, lint.SeededRand,
 	}
 }
 
@@ -195,15 +196,14 @@ func zzTitle(rank int, domain string) string {
 	}
 }
 
-// preV4Suite is the thirteen-analyzer suite as it stood before the
-// contract-drift gate landed: everything except the wireschema,
-// exhaustive and errflow analyzers. The v4 injection tests run it as the control.
+// preV4Suite is the suite as it stood before the contract-drift gate
+// landed, less the since-retired niltelemetry: everything except the
+// wireschema, exhaustive and errflow analyzers. The v4 injection tests run it as the control.
 func preV4Suite() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		lint.APICodes, lint.CtxFlow, lint.FaultBoundary, lint.HotAlloc,
-		lint.LockDiscipline, lint.MapOrder, lint.NilTelemetry,
-		lint.NoWallTime, lint.PoolOnly, lint.Purity, lint.RaceCapture,
-		lint.SeededRand, lint.SnapshotFields,
+		lint.LockDiscipline, lint.MapOrder, lint.NoWallTime, lint.PoolOnly,
+		lint.Purity, lint.RaceCapture, lint.SeededRand, lint.SnapshotFields,
 	}
 }
 

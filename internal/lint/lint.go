@@ -1,14 +1,16 @@
 // Package lint is sslint: a suite of static analyzers that mechanically
-// enforce the determinism and nil-safety invariants every headline number
-// in this reproduction rests on. The golden fingerprint tests prove a
-// study replayed bit-identically *this time*; sslint proves the properties
-// that make it replay at all — no wall-clock reads, no global randomness,
-// no map-order-dependent dataflow, no unguarded telemetry handles, no
-// unsanctioned goroutines, no impurity laundered through helper packages,
-// no shared-state captures slipping into the worker pools — before any
-// test runs.
+// enforce the determinism invariants every headline number in this
+// reproduction rests on. The golden fingerprint tests prove a study
+// replayed bit-identically *this time*; sslint proves the properties that
+// make it replay at all — no wall-clock reads, no global randomness, no
+// map-order-dependent dataflow, no unsanctioned goroutines, no impurity
+// laundered through helper packages, no shared-state captures slipping
+// into the worker pools — before any test runs. Each analyzer is kept only
+// for what no deterministic test can observe (DESIGN.md §6 "Which
+// analyzers stay"); the telemetry nil-receiver contract, for one, is a
+// test in internal/telemetry.
 //
-// Since PR 5 the suite is interprocedural: analyzers export typed facts
+// The suite is interprocedural: analyzers export typed facts
 // (analysis.Fact) on functions and packages, the driver analyzes the full
 // dependency closure bottom-up so facts always exist before they are
 // imported, and the purity/racecapture analyzers walk a conservative call
@@ -17,10 +19,8 @@
 // exempt packages.
 //
 // Run it as `go run ./cmd/sslint ./...`; CI runs the same command with
-// -json and -sarif and fails on any non-baselined finding. Suppressions
-// are explicit, reasoned and checked (see directive.go); pre-existing
-// debt is grandfathered explicitly in lint.baseline.json (see
-// baseline.go) and burns down monotonically.
+// -json and -sarif and fails on any finding. Suppressions are explicit,
+// reasoned and checked (see directive.go).
 package lint
 
 import (
@@ -38,14 +38,14 @@ import (
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		APICodes, CtxFlow, ErrFlow, Exhaustive, FaultBoundary, HotAlloc,
-		LockDiscipline, MapOrder, NilTelemetry, NoWallTime, PoolOnly,
-		Purity, RaceCapture, SeededRand, SnapshotFields, WireSchema,
+		LockDiscipline, MapOrder, NoWallTime, PoolOnly, Purity,
+		RaceCapture, SeededRand, SnapshotFields, WireSchema,
 	}
 }
 
 // Finding is one reported issue, positioned and attributed. File is the
 // absolute path as loaded; Finalize rewrites it module-relative and
-// assigns the stable ID used by the baseline and SARIF layers.
+// assigns the stable ID used by the -json and SARIF outputs.
 type Finding struct {
 	ID       string         `json:"id"`
 	Analyzer string         `json:"analyzer"`

@@ -25,10 +25,6 @@ func TestMapOrder(t *testing.T) {
 	analysistest.Run(t, "testdata/src", one(lint.MapOrder), "maporder")
 }
 
-func TestNilTelemetry(t *testing.T) {
-	analysistest.Run(t, "testdata/src", one(lint.NilTelemetry), "niltelemetry")
-}
-
 func TestPoolOnly(t *testing.T) {
 	analysistest.Run(t, "testdata/src", one(lint.PoolOnly), "poolonly")
 }

@@ -16,8 +16,7 @@ const helpBaseURI = "https://repro.invalid/DESIGN.md"
 // — the format GitHub code scanning and most CI annotators ingest. One
 // run, one tool ("sslint"), one reportingDescriptor per analyzer that
 // actually fired, results carrying the stable finding ID as a partial
-// fingerprint so annotation platforms track findings across commits the
-// same way the baseline does.
+// fingerprint so annotation platforms track findings across commits.
 func SARIF(findings []Finding) ([]byte, error) {
 	type sarifMessage struct {
 		Text string `json:"text"`

@@ -275,33 +275,6 @@ func (st *Stacked) TopLayers(n int, collapse string) *Stacked {
 	return out
 }
 
-// Histogram bins values into equal-width buckets over [min, max].
-type Histogram struct {
-	Min, Max float64
-	Counts   []int
-}
-
-// NewHistogram builds a histogram of values with the given bucket count.
-// Values outside [min, max] are clamped into the edge buckets.
-func NewHistogram(values []float64, min, max float64, buckets int) Histogram {
-	h := Histogram{Min: min, Max: max, Counts: make([]int, buckets)}
-	if buckets == 0 || max <= min {
-		return h
-	}
-	w := (max - min) / float64(buckets)
-	for _, v := range values {
-		i := int((v - min) / w)
-		if i < 0 {
-			i = 0
-		}
-		if i >= buckets {
-			i = buckets - 1
-		}
-		h.Counts[i]++
-	}
-	return h
-}
-
 // Quantile returns the q-quantile (0 <= q <= 1) of values using linear
 // interpolation; it returns 0 for an empty slice.
 func Quantile(values []float64, q float64) float64 {

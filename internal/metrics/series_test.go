@@ -197,23 +197,6 @@ func TestStackedTopLayers(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram([]float64{0, 1, 2, 3, 9, 100, -5}, 0, 10, 5)
-	var total int
-	for _, c := range h.Counts {
-		total += c
-	}
-	if total != 7 {
-		t.Fatalf("histogram lost values: %d", total)
-	}
-	if h.Counts[0] != 3 { // 0, 1, and clamped -5
-		t.Fatalf("bucket 0 = %d, want 3 (0, 1, clamped -5)", h.Counts[0])
-	}
-	if h.Counts[4] != 2 { // 9 and clamped 100
-		t.Fatalf("bucket 4 = %d", h.Counts[4])
-	}
-}
-
 func TestQuantile(t *testing.T) {
 	v := []float64{1, 2, 3, 4, 5}
 	if q := Quantile(v, 0.5); q != 3 {

@@ -32,10 +32,8 @@ func TestConcurrentReaders(t *testing.T) {
 						counts[g]++
 						if s.Poisoned() {
 							wd.eng.LabeledOn(s.Domain)
-							wd.eng.Demoted(s.Domain)
 						}
 					})
-					wd.eng.CountPoisoned(v)
 				}
 				wd.eng.ChurnToday()
 			}

@@ -43,15 +43,26 @@ func (wd *world) spec(name string) *campaign.Spec {
 	return nil
 }
 
+// countPoisoned returns a vertical's poisoned and total slot counts.
+func countPoisoned(e *Engine, v brands.Vertical) (poisoned, slots int) {
+	e.EachSlot(v, func(_, _ int, s *Slot) {
+		slots++
+		if s.Poisoned() {
+			poisoned++
+		}
+	})
+	return poisoned, slots
+}
+
 func TestInitialSERPsAllBenign(t *testing.T) {
 	wd := build(t, 0.02, 10, 50)
 	for _, v := range brands.All() {
-		pc := wd.eng.CountPoisoned(v)
-		if pc.TopNPoisoned != 0 {
-			t.Fatalf("%s poisoned before any Advance: %d", v, pc.TopNPoisoned)
+		poisoned, slots := countPoisoned(wd.eng, v)
+		if poisoned != 0 {
+			t.Fatalf("%s poisoned before any Advance: %d", v, poisoned)
 		}
-		if pc.TopNSlots != 10*50 {
-			t.Fatalf("%s slots = %d", v, pc.TopNSlots)
+		if slots != 10*50 {
+			t.Fatalf("%s slots = %d", v, slots)
 		}
 	}
 }
@@ -59,11 +70,11 @@ func TestInitialSERPsAllBenign(t *testing.T) {
 func TestAdvancePoisonsTargetedVerticals(t *testing.T) {
 	wd := build(t, 0.02, 10, 50)
 	wd.eng.Advance(5) // KEY peak period
-	pc := wd.eng.CountPoisoned(brands.BeatsByDre)
-	if pc.TopNPoisoned == 0 {
+	poisoned, slots := countPoisoned(wd.eng, brands.BeatsByDre)
+	if poisoned == 0 {
 		t.Fatal("Beats By Dre should be poisoned during KEY peak")
 	}
-	frac := float64(pc.TopNPoisoned) / float64(pc.TopNSlots)
+	frac := float64(poisoned) / float64(slots)
 	if frac < 0.05 || frac > 0.6 {
 		t.Fatalf("Beats poisoning fraction = %v, want 5%%..60%%", frac)
 	}
@@ -177,8 +188,8 @@ func TestDemoteExpelsDomain(t *testing.T) {
 			t.Fatalf("demoted domain %s still in results", victim)
 		}
 	})
-	if !wd.eng.Demoted(victim) {
-		t.Fatal("Demoted() should report true")
+	if st := wd.eng.ExportState(); !slices.Contains(st.Demoted, victim) {
+		t.Fatal("demoted domain missing from the exported state")
 	}
 	// And it must not come back.
 	for d := simclock.Day(6); d < 20; d++ {

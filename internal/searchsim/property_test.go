@@ -59,32 +59,3 @@ func TestSlotAccountingProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestPoisonedCountsConsistentProperty: CountPoisoned agrees with a direct
-// scan over EachSlot for any day.
-func TestPoisonedCountsConsistentProperty(t *testing.T) {
-	wd := build(t, 0.02, 5, 30)
-	check := func(day uint8) bool {
-		wd.eng.Advance(simclock.Day(day) % 245)
-		for _, v := range brands.All() {
-			pc := wd.eng.CountPoisoned(v)
-			var top10, topN, slots int
-			wd.eng.EachSlot(v, func(_, rank int, s *Slot) {
-				slots++
-				if s.Poisoned() {
-					topN++
-					if rank < 10 {
-						top10++
-					}
-				}
-			})
-			if pc.TopNPoisoned != topN || pc.Top10Poisoned != top10 || pc.TopNSlots != slots {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 10}); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -5,20 +5,6 @@ import (
 	"repro/internal/simclock"
 )
 
-// Day returns the day the engine last advanced to.
-func (e *Engine) Day() simclock.Day {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.day
-}
-
-// Terms returns the monitored terms for a vertical.
-func (e *Engine) Terms(v brands.Vertical) []string {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return append([]string(nil), e.verticals[v].terms...)
-}
-
 // SERP returns a copy of the current result list for (vertical, term index).
 func (e *Engine) SERP(v brands.Vertical, termIdx int) []Slot {
 	e.mu.RLock()
@@ -38,8 +24,8 @@ func (e *Engine) SERP(v brands.Vertical, termIdx int) []Slot {
 // The callback must not retain the slot pointer.
 //
 // EachSlot holds the engine's read lock for the whole walk, so any number
-// of goroutines may run EachSlot (and the other RLock readers — LabeledOn,
-// Demoted, CountPoisoned) concurrently; the day pipeline's observe phase
+// of goroutines may run EachSlot (and the other RLock readers, LabeledOn
+// and ChurnToday) concurrently; the day pipeline's observe phase
 // relies on this. Callbacks may call the read-side accessors (Go RWMutex
 // read locks are recursive-safe as long as no writer is waiting) but must
 // not call Label, Demote, or Advance: writers are excluded until every
@@ -80,13 +66,6 @@ func (e *Engine) Demote(domain string) {
 	}
 }
 
-// Demoted reports whether a domain has been demoted.
-func (e *Engine) Demoted(domain string) bool {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.demoted[domain]
-}
-
 // Label applies the "This site may be hacked" warning to a doorway domain
 // starting on day d. Per Google's policy the label appears only on results
 // whose URL is the site root (§5.2.2); deep-page results for the same
@@ -124,35 +103,4 @@ func (e *Engine) ChurnToday() (newDomains, totalSlots int) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	return e.newToday, e.slotsToday
-}
-
-// PoisonedCounts summarises a vertical's current poisoning: the number of
-// poisoned slots in the top 10 and in the full top N, and the totals.
-type PoisonedCounts struct {
-	Top10Poisoned  int
-	Top10Slots     int
-	TopNPoisoned   int
-	TopNSlots      int
-	LabeledResults int
-}
-
-// CountPoisoned tallies the vertical's current poisoning levels.
-func (e *Engine) CountPoisoned(v brands.Vertical) PoisonedCounts {
-	var pc PoisonedCounts
-	e.EachSlot(v, func(_, rank int, s *Slot) {
-		pc.TopNSlots++
-		if rank < 10 {
-			pc.Top10Slots++
-		}
-		if s.Poisoned() {
-			pc.TopNPoisoned++
-			if rank < 10 {
-				pc.Top10Poisoned++
-			}
-			if s.Labeled {
-				pc.LabeledResults++
-			}
-		}
-	})
-	return pc
 }

@@ -6,14 +6,12 @@
 // map-index string conversion does not escape), which is what lets callers
 // build lookup keys in reused scratch buffers.
 //
-// Determinism contract: a Map never exposes iteration order. The only
-// enumeration primitive is Keys, which returns a sorted snapshot, so sharded
-// state can feed fingerprints and reports without map-order leaks.
+// Determinism contract: a Map has no iteration primitive, so its shard
+// layout and map order can never leak into fingerprints or reports.
 package shard
 
 import (
 	"slices"
-	"sort"
 	"sync"
 )
 
@@ -102,14 +100,6 @@ func (m *Map[V]) LoadOrStore(key string, v V) (actual V, loaded bool) {
 	return v, false
 }
 
-// Delete removes key.
-func (m *Map[V]) Delete(key string) {
-	sh := &m.shards[hashString(key)&(shardCount-1)]
-	sh.mu.Lock()
-	delete(sh.m, key)
-	sh.mu.Unlock()
-}
-
 // Len returns the total number of entries across all shards.
 func (m *Map[V]) Len() int {
 	n := 0
@@ -130,24 +120,6 @@ func (m *Map[V]) Clear() {
 		clear(sh.m)
 		sh.mu.Unlock()
 	}
-}
-
-// Keys returns every key in sorted order. This is the only iteration
-// primitive: shard layout and map order never leak to callers, so sharded
-// state can feed hashes and reports deterministically.
-func (m *Map[V]) Keys() []string {
-	out := make([]string, 0, m.Len())
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.RLock()
-		//sslint:ignore maporder all shards drain into out, which is sorted below before it escapes
-		for k := range sh.m {
-			out = append(out, k)
-		}
-		sh.mu.RUnlock()
-	}
-	sort.Strings(out)
-	return out
 }
 
 // MergeSorted returns, in a new slice, the sorted union of base and adds.

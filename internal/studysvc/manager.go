@@ -192,13 +192,6 @@ type Handle struct {
 	slot    bool          // currently holding a day slot
 }
 
-// Spec returns the study's (defaulted) launch spec.
-func (h *Handle) Spec() searchseizure.StudySpec {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.spec
-}
-
 // Telemetry returns the study's private registry.
 func (h *Handle) Telemetry() *telemetry.Registry { return h.reg }
 

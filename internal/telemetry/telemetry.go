@@ -105,24 +105,12 @@ type Gauge struct {
 	max  atomic.Int64
 }
 
-// Set stores the gauge value, updating the watermark.
-func (g *Gauge) Set(v int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(v)
-	g.bump(v)
-}
-
 // Add shifts the gauge, updating the watermark.
 func (g *Gauge) Add(delta int64) {
 	if g == nil {
 		return
 	}
-	g.bump(g.v.Add(delta))
-}
-
-func (g *Gauge) bump(v int64) {
+	v := g.v.Add(delta)
 	for {
 		m := g.max.Load()
 		if v <= m || g.max.CompareAndSwap(m, v) {

@@ -2,45 +2,113 @@ package telemetry
 
 import (
 	"encoding/json"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"net/http"
 	"net/http/httptest"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 )
 
-// TestNilRegistryIsInert: the nil registry is the no-op sink — every handle
-// is nil, every method returns, nothing panics.
+// TestNilRegistryIsInert: the nil registry is the no-op sink. Every
+// exported method of every pointer handle type is called on a nil
+// receiver with zero-value arguments: none may panic, call a func
+// argument, or return a live handle, a non-zero count or an error.
+// Returned handlers are served once and returned spans ended. The
+// package's source is parsed so that a new handle type with exported
+// methods fails here until it joins the table.
 func TestNilRegistryIsInert(t *testing.T) {
-	var r *Registry
-	c := r.Counter("x")
-	c.Inc()
-	c.Add(5)
-	if c.Value() != 0 {
-		t.Fatal("nil counter accumulated")
+	nils := []any{(*Registry)(nil), (*Counter)(nil), (*Gauge)(nil),
+		(*Histogram)(nil), (*Stage)(nil), (*PoolMetrics)(nil)}
+	covered := make(map[string]bool)
+	for _, recv := range nils {
+		rv := reflect.ValueOf(recv)
+		covered[rv.Type().Elem().Name()] = true
+		for i := 0; i < rv.NumMethod(); i++ {
+			name := rv.Type().Elem().Name() + "." + rv.Type().Method(i).Name
+			callNil(t, name, rv.Method(i))
+		}
 	}
-	g := r.Gauge("y")
-	g.Set(3)
-	g.Add(1)
-	if g.Value() != 0 || g.Max() != 0 {
-		t.Fatal("nil gauge accumulated")
-	}
-	h := r.Histogram("z", CountBuckets())
-	h.Observe(1)
-	if h.Count() != 0 || h.Sum() != 0 {
-		t.Fatal("nil histogram accumulated")
-	}
-	st := r.Stage("observe")
-	sp := st.Start(0, "uggs")
-	sp.End()
-	r.Pool("observe").PoolRun(4, 16, time.Millisecond, time.Millisecond)
-	r.SetSpanObserver(func(SpanEvent) { t.Fatal("observer on nil registry") })
-	if err := r.WritePrometheus(&strings.Builder{}); err != nil {
+
+	fset := token.NewFileSet()
+	files, err := filepath.Glob("*.go")
+	if err != nil {
 		t.Fatal(err)
 	}
-	s := r.Snapshot()
-	if s.Counters == nil || s.Gauges == nil || s.Histograms == nil {
-		t.Fatal("nil registry snapshot has nil maps")
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Recv == nil || !fd.Name.IsExported() {
+				continue
+			}
+			star, ok := fd.Recv.List[0].Type.(*ast.StarExpr)
+			if !ok {
+				continue
+			}
+			if id, ok := star.X.(*ast.Ident); ok && !covered[id.Name] {
+				t.Errorf("%s: *%s has exported method %s but no nil case in TestNilRegistryIsInert",
+					fset.Position(fd.Pos()), id.Name, fd.Name.Name)
+			}
+		}
+	}
+}
+
+// callNil calls one nil-receiver method value and checks what it returns.
+func callNil(t *testing.T, name string, m reflect.Value) {
+	t.Helper()
+	defer func() {
+		if p := recover(); p != nil {
+			t.Errorf("%s on a nil receiver panicked: %v", name, p)
+		}
+	}()
+	mt := m.Type()
+	args := make([]reflect.Value, mt.NumIn())
+	for i := range args {
+		pt := mt.In(i)
+		if pt.Kind() != reflect.Func {
+			args[i] = reflect.Zero(pt)
+			continue
+		}
+		args[i] = reflect.MakeFunc(pt, func([]reflect.Value) []reflect.Value {
+			t.Errorf("%s on a nil receiver called its func argument", name)
+			out := make([]reflect.Value, pt.NumOut())
+			for j := range out {
+				out[j] = reflect.Zero(pt.Out(j))
+			}
+			return out
+		})
+	}
+	for _, out := range m.Call(args) {
+		switch v := out.Interface().(type) {
+		case http.Handler:
+			rec := httptest.NewRecorder()
+			v.ServeHTTP(rec, httptest.NewRequest("GET", "/", nil))
+			if rec.Code != http.StatusOK {
+				t.Errorf("%s on a nil receiver: handler served %d", name, rec.Code)
+			}
+		case Span:
+			v.End()
+		case Snapshot:
+			if v.Counters == nil || v.Gauges == nil || v.Histograms == nil {
+				t.Errorf("%s on a nil receiver has nil maps", name)
+			}
+		default:
+			if !out.IsZero() {
+				t.Errorf("%s on a nil receiver returned %v, want the zero value", name, v)
+			}
+		}
 	}
 }
 
@@ -57,7 +125,7 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	}
 
 	g := r.Gauge("depth")
-	g.Set(7)
+	g.Add(7)
 	g.Add(-2)
 	if g.Value() != 5 || g.Max() != 7 {
 		t.Fatalf("gauge = %d max %d", g.Value(), g.Max())
@@ -95,7 +163,7 @@ func TestConcurrentUpdates(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				c.Inc()
-				g.Set(int64(i))
+				g.Add(1)
 				h.Observe(float64(i % 40))
 			}
 		}()
@@ -154,7 +222,7 @@ func TestPoolMetrics(t *testing.T) {
 func TestPrometheusExposition(t *testing.T) {
 	r := New()
 	r.Counter("crawler_fetch_attempts_total").Add(42)
-	r.Gauge("queue_depth").Set(3)
+	r.Gauge("queue_depth").Add(3)
 	h := r.Histogram("lat_ms", []float64{1, 10})
 	h.Observe(0.5)
 	h.Observe(20)
